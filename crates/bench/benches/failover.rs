@@ -1,18 +1,19 @@
-//! Data-service failover head to head: warm promotion of a log-shipped
-//! standby (`rave_core::replica`) versus standing up a cold mirror at
-//! failure time (`MirrorPair::establish`, which bulk-ships the whole
-//! audit trail), across scene sizes and lag settings. Both paths run in
-//! the same simulated testbed, so "recovery time" is virtual wall time:
-//! every byte of replication and every control round trip is charged
-//! through the network model. Emits `BENCH_failover.json` at the repo
-//! root. Set `FAILOVER_QUICK=1` for a tiny CI smoke run (smaller
-//! sessions, same JSON shape, same asserts).
+//! Data-service failover head to head, through the scheduler's own
+//! `SchedEvent::DataFailure` handling: warm promotion of a log-shipped
+//! standby (`rave_core::replica`) versus cold recovery from the durable
+//! store when no standby exists (`bootstrap::recover_data_service`, which
+//! rebuilds the session from snapshot + WAL and re-bootstraps every
+//! subscriber), across scene sizes and lag settings. Both paths run in
+//! the same simulated testbed, so "recovery time" is virtual time from
+//! the failure until the last subscriber is served again: every byte of
+//! replication and every control round trip is charged through the
+//! network model. Emits `BENCH_failover.json` at the repo root. Set
+//! `FAILOVER_QUICK=1` for a tiny CI smoke run (smaller sessions, same
+//! JSON shape, same asserts).
 
-use rave_core::mirror::MirrorPair;
 use rave_core::replica::{establish_standby, run_log_shipping};
 use rave_core::sched::rebalance::process_events;
 use rave_core::sched::SchedEvent;
-use rave_core::trace::TraceKind;
 use rave_core::world::{publish_update, RaveWorld};
 use rave_core::{DataServiceId, RaveConfig, RaveSim};
 use rave_scene::{InterestSet, NodeKind, SceneUpdate};
@@ -41,20 +42,6 @@ fn add(sim: &mut RaveSim, ds: DataServiceId, seq_hint: u64) {
         },
     )
     .unwrap();
-}
-
-/// Session world: primary on adrenochrome, a subscriber on the laptop,
-/// `updates` committed entries, fully quiesced.
-fn session_world(updates: u64, cfg: RaveConfig) -> (RaveSim, DataServiceId) {
-    let mut sim = Simulation::new(RaveWorld::paper_testbed(cfg, 42));
-    let primary = sim.world.spawn_data_service("adrenochrome", "sess");
-    let rs = sim.world.spawn_render_service("laptop");
-    sim.world.data_mut(primary).subscribe_live(rs, InterestSet::everything());
-    for i in 0..updates {
-        add(&mut sim, primary, i);
-    }
-    sim.run();
-    (sim, primary)
 }
 
 struct ConfigResult {
@@ -118,29 +105,40 @@ fn run_warm(updates: u64, max_lag: u64) -> (f64, u64, u64) {
     (recovery, report.replayed_bytes, report.lost_updates)
 }
 
-/// Cold path: no standby exists at failure time; a fresh mirror is
-/// established (the whole trail crosses the wire) and subscribers are
-/// flipped to it once the bulk copy lands.
+/// Cold path: the primary logs to a durable store but has no standby,
+/// so the scheduler rebuilds the session from the store on another host
+/// and re-bootstraps the subscriber. Returns the recovery time and the
+/// snapshot bytes the re-bootstrap ships.
 fn run_cold(updates: u64) -> (f64, u64) {
-    let (mut sim, primary) = session_world(updates, RaveConfig::default());
-    let spare = sim.world.spawn_data_service("tower", "sess-spare");
-    let replayed: u64 = {
-        let p = sim.world.data(primary);
-        p.audit.entries().iter().map(|e| e.stamped.wire_size()).sum::<u64>() + 64
-    };
-    let t0 = sim.now();
-    let pair = MirrorPair::establish(&mut sim, primary, spare);
+    let mut sim = Simulation::new(RaveWorld::paper_testbed(RaveConfig::default(), 42));
+    let primary = sim.world.spawn_data_service("adrenochrome", "sess");
+    let rs = sim.world.spawn_render_service("laptop");
+    sim.world.data_mut(primary).subscribe_live(rs, InterestSet::everything());
+    let dir = tmp_dir(&format!("cold-{updates}"));
+    let store_cfg =
+        StoreConfig { checkpoint_every: sim.world.config.checkpoint_every, ..Default::default() };
+    sim.world.data_mut(primary).attach_store(&dir, store_cfg).unwrap();
+    for i in 0..updates {
+        add(&mut sim, primary, i);
+    }
     sim.run();
-    let established_at = sim
-        .world
-        .trace
-        .last_of(TraceKind::Bootstrap)
-        .expect("mirror establish traces Bootstrap")
-        .at;
-    let moved = pair.failover(&mut sim);
-    assert_eq!(moved, 1);
-    assert_eq!(sim.world.data(spare).audit.last_seq(), updates, "cold mirror holds the full trail");
-    ((established_at - t0).as_secs(), replayed)
+
+    let t0 = sim.now();
+    let outcome =
+        process_events(&mut sim, primary, &[SchedEvent::DataFailure { service: primary }]);
+    assert_eq!(outcome.promotions.len(), 1, "a store-backed primary recovers cold");
+    let report = outcome.promotions[0].clone();
+    assert!(!report.warm, "no standby: the recovery is cold");
+    assert_eq!(report.lost_updates, 0, "the store holds every committed update");
+    assert_eq!(report.subscribers_moved, 1);
+    sim.run();
+    let recovered = report.promoted;
+    assert_eq!(sim.world.data(recovered).audit.last_seq(), updates, "store holds the whole trail");
+    assert_eq!(sim.world.render(rs).scene, sim.world.data(recovered).scene, "re-bootstrapped");
+
+    let recovery = (report.completed_at - t0).as_secs();
+    let _ = std::fs::remove_dir_all(&dir);
+    (recovery, report.replayed_bytes)
 }
 
 fn main() {
@@ -210,7 +208,7 @@ fn main() {
     for r in &results {
         assert!(
             r.warm_secs < r.cold_secs,
-            "warm promotion ({:.4}s) must beat cold mirror establishment ({:.4}s) \
+            "warm promotion ({:.4}s) must beat cold recovery ({:.4}s) \
              at {} updates, lag {}",
             r.warm_secs,
             r.cold_secs,
@@ -219,7 +217,7 @@ fn main() {
         );
         assert!(
             r.warm_replayed < r.cold_replayed,
-            "warm promotion replays less than the full trail"
+            "warm promotion ships less than the cold re-bootstraps"
         );
         if r.max_lag == 0 {
             assert_eq!(r.lost_updates, 0, "lag 0 loses nothing");

@@ -143,13 +143,14 @@ pub fn connect_planned(
 /// failed instance was serving is re-bootstrapped against the
 /// replacement with its original interest set — the §5.5 overlap
 /// machinery makes the re-mirror safe against updates published while
-/// the snapshots are in flight.
+/// the snapshots are in flight. Returns the replacement's id and the
+/// re-bootstrap timings, in subscriber-id order.
 pub fn recover_data_service(
     sim: &mut RaveSim,
     failed: DataServiceId,
     host: &str,
     dir: impl AsRef<Path>,
-) -> std::io::Result<DataServiceId> {
+) -> std::io::Result<(DataServiceId, Vec<BootstrapTiming>)> {
     let failed_ds = sim
         .world
         .data_services
@@ -175,10 +176,12 @@ pub fn recover_data_service(
             failed_ds.subscribers.len(),
         ),
     );
-    for (rs_id, sub) in failed_ds.subscribers {
-        connect_render_service(sim, rs_id, new_id, sub.interest);
-    }
-    Ok(new_id)
+    let timings = failed_ds
+        .subscribers
+        .into_iter()
+        .map(|(rs_id, sub)| connect_render_service(sim, rs_id, new_id, sub.interest))
+        .collect();
+    Ok((new_id, timings))
 }
 
 /// The snapshot a subscriber receives: the whole scene, or the interest

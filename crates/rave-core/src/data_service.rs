@@ -323,8 +323,7 @@ impl DataService {
     /// Route a freshly committed update: returns the live subscribers it
     /// must be delivered to, buffering an `Arc` share of it for
     /// bootstrapping ones. O(log roots + matches) through the inverted
-    /// interest index — the naive O(subscribers) scan survives as
-    /// [`DataService::route_naive`], the index's parity oracle.
+    /// interest index.
     pub fn route(&mut self, stamped: &Arc<StampedUpdate>) -> Vec<RenderServiceId> {
         self.ensure_index();
         let mut slots = std::mem::take(&mut self.route_slots);
@@ -352,22 +351,9 @@ impl DataService {
         deliver
     }
 
-    /// The pre-index routing decision, kept as the embedded parity oracle
-    /// for the inverted index: one `InterestSet::relevant` probe per
-    /// subscriber against its current closure. Read-only — does not
-    /// buffer for bootstrapping subscribers; returns every interested
-    /// subscriber regardless of state, in id order.
-    pub fn route_naive(&self, stamped: &StampedUpdate) -> Vec<RenderServiceId> {
-        self.subscribers
-            .iter()
-            .filter(|(_, sub)| sub.interest.relevant(&stamped.update, &self.scene))
-            .map(|(rs, _)| *rs)
-            .collect()
-    }
-
     /// Refresh every subscriber's interest closure after structural scene
     /// changes, and schedule an index rebuild (the rebalancer edits
-    /// subscriber interests in place and then calls this).
+    /// subscriber interests in place and calls this once per pass).
     pub fn refresh_interests(&mut self) {
         for sub in self.subscribers.values_mut() {
             sub.interest.refresh(&self.scene);
@@ -409,6 +395,18 @@ impl DataService {
 mod tests {
     use super::*;
     use rave_scene::{NodeId, NodeKind};
+
+    /// The pre-index routing decision, the index's parity oracle: one
+    /// `InterestSet::relevant` probe per subscriber against its current
+    /// closure, every interested subscriber regardless of state, in id
+    /// order.
+    fn route_naive(ds: &DataService, stamped: &StampedUpdate) -> Vec<RenderServiceId> {
+        ds.subscribers
+            .iter()
+            .filter(|(_, sub)| sub.interest.relevant(&stamped.update, &ds.scene))
+            .map(|(rs, _)| *rs)
+            .collect()
+    }
 
     fn add_update(ds: &mut DataService, name: &str) -> StampedUpdate {
         let id = ds.scene.allocate_id();
@@ -472,7 +470,7 @@ mod tests {
         ds.subscribe_live(RenderServiceId(2), InterestSet::subtrees([right]));
         let u = ds.stamp("t", SceneUpdate::SetName { id: left, name: "renamed".into() });
         ds.commit(0.0, &u).unwrap();
-        assert_eq!(ds.route_naive(&u), vec![RenderServiceId(1)], "oracle agrees");
+        assert_eq!(route_naive(&ds, &u), vec![RenderServiceId(1)], "oracle agrees");
         assert_eq!(ds.route(&Arc::new(u)), vec![RenderServiceId(1)]);
     }
 

@@ -197,32 +197,15 @@ pub struct FrameSendOutcome {
 /// into the dirty-strip container, charge encode CPU + encoded wire bytes
 /// to the sim, and report the decode CPU the receiver will spend.
 ///
-/// The encode starts at `now`; use [`send_frame_after`] when a separate
-/// encoder timeline gates the start.
-#[allow(clippy::too_many_arguments)]
-pub fn send_frame(
-    world: &mut RaveWorld,
-    now: SimTime,
-    rs: RenderServiceId,
-    client: ClientId,
-    from: &str,
-    to: &str,
-    cur: &[u8],
-    sender: EndpointSpeed,
-    receiver: EndpointSpeed,
-    allow_lossy: bool,
-) -> FrameSendOutcome {
-    send_frame_after(world, now, now, rs, client, from, to, cur, sender, receiver, allow_lossy)
-}
-
-/// [`send_frame`] for a pipelined stream: the frame's pixels are `ready`
-/// (rendered) but the encoder CPU may still be busy with an earlier
-/// in-flight frame until `encoder_free` — the encode starts at
-/// `max(ready, encoder_free)`. The delta base handed to the codec is the
-/// channel's double buffer (`last_raw`/`prev_view`): the *previous*
-/// frame's pixels and reconstruction, which are valid even while that
-/// frame is still on the wire or undecoded at the client, because both
-/// sides advance their view strictly in frame order.
+/// The frame's pixels are `ready` (rendered) but the encoder CPU may
+/// still be busy with an earlier in-flight frame until `encoder_free` —
+/// the encode starts at `max(ready, encoder_free)`; pass `ready` twice
+/// when no separate encoder timeline gates the start. The delta base
+/// handed to the codec is the channel's double buffer
+/// (`last_raw`/`prev_view`): the *previous* frame's pixels and
+/// reconstruction, which are valid even while that frame is still on
+/// the wire or undecoded at the client, because both sides advance
+/// their view strictly in frame order.
 #[allow(clippy::too_many_arguments)]
 pub fn send_frame_after(
     world: &mut RaveWorld,
@@ -367,8 +350,9 @@ mod tests {
         let cl = ClientId(1);
         let frame = synthesize_frame(200, 200, 0);
         let mut t = SimTime::ZERO;
-        let first = send_frame(
+        let first = send_frame_after(
             &mut w,
+            t,
             t,
             rs,
             cl,
@@ -382,8 +366,9 @@ mod tests {
         assert!(first.encoded_bytes > 0);
         t = first.arrival;
         // Same frame again: every strip clean, near-zero wire bytes.
-        let second = send_frame(
+        let second = send_frame_after(
             &mut w,
+            t,
             t,
             rs,
             cl,
@@ -412,8 +397,9 @@ mod tests {
         let mut total_logical = 0u64;
         for seq in 0..20 {
             let frame = synthesize_frame(200, 200, seq);
-            let out = send_frame(
+            let out = send_frame_after(
                 &mut w,
+                t,
                 t,
                 rs,
                 cl,
@@ -454,8 +440,9 @@ mod tests {
             (0..200 * 200 * 3).map(|i| ((i as u64).wrapping_mul(2654435761) >> 13) as u8).collect();
         let mut t = SimTime::ZERO;
         for (i, f) in [&flat, &noise, &noise, &noise, &noise].into_iter().enumerate() {
-            let out = send_frame(
+            let out = send_frame_after(
                 &mut w,
+                t,
                 t,
                 rs,
                 cl,
@@ -481,8 +468,9 @@ mod tests {
         let rs = RenderServiceId(1);
         let cl = ClientId(1);
         let frame = synthesize_frame(64, 64, 0);
-        send_frame(
+        send_frame_after(
             &mut w,
+            SimTime::ZERO,
             SimTime::ZERO,
             rs,
             cl,
@@ -495,8 +483,9 @@ mod tests {
         );
         w.frame_cache.evict(rs, cl);
         // Same frame after eviction: no prev state, so nothing skipped.
-        let out = send_frame(
+        let out = send_frame_after(
             &mut w,
+            SimTime::from_secs(1.0),
             SimTime::from_secs(1.0),
             rs,
             cl,
@@ -519,8 +508,9 @@ mod tests {
         let rs = RenderServiceId(1);
         let frame = synthesize_frame(64, 64, 0);
         let send_to = |w: &mut RaveWorld, cl: ClientId, t: f64| {
-            send_frame(
+            send_frame_after(
                 w,
+                SimTime::from_secs(t),
                 SimTime::from_secs(t),
                 rs,
                 cl,

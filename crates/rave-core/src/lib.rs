@@ -21,8 +21,7 @@
 //! | The assembled world (testbed, §4.4) | [`world`] |
 //! | Distributed volume rendering (§6) | [`volume_dist`] |
 //! | Computational steering / remote bridge (§5.2) | [`steering`] |
-//! | Data-service mirroring & failover (§6) | [`mirror`] |
-//! | WAL log shipping to a warm standby (§6) | [`replica`] |
+//! | Data-service failover: WAL log shipping to a warm standby (§6) | [`replica`] |
 //! | Durable session store & crash recovery (§3.1.1) | [`persist`] |
 //!
 //! Everything runs inside a `rave_sim::Simulation<RaveWorld>`: service
@@ -40,7 +39,6 @@ pub mod frame_stream;
 pub mod gui;
 pub mod ids;
 pub mod migration;
-pub mod mirror;
 pub mod persist;
 pub mod render_service;
 pub mod replica;

@@ -2,9 +2,9 @@
 //! promotion (§6 "data servers could mirror each other", production
 //! grade).
 //!
-//! [`crate::mirror`] is the *cold* half of the fail-safe: a one-shot bulk
-//! copy of the whole audit trail, paid for at failover time. This module
-//! is the warm half. A [`ReplicaLink`] continuously streams the
+//! This module is the *warm* half of the fail-safe; the cold half,
+//! [`crate::bootstrap::recover_data_service`], pays for the whole session
+//! at failover time. A [`ReplicaLink`] continuously streams the
 //! primary's WAL — sealed segments verbatim, plus the unsealed tail past
 //! the [`crate::RaveConfig::ship_max_lag`] bound — to a standby data
 //! service on another host, through the same serializing
@@ -68,12 +68,14 @@ pub struct PromotionReport {
     /// Durably shipped entries the standby had not yet applied in memory
     /// and replayed at promotion time (normally 0 for a warm standby).
     pub residual_entries: usize,
-    /// Wire bytes of those residual entries.
+    /// Bytes shipped to bring the session back: the residual entries of
+    /// a warm promotion, the re-bootstrap snapshots of a cold recovery.
     pub replayed_bytes: u64,
     /// Committed updates the primary held that never reached the
     /// standby's log — bounded by the configured lag.
     pub lost_updates: u64,
-    /// Virtual time at which the last subscriber flip completes.
+    /// Virtual time at which the last subscriber is served again: its
+    /// flip (warm) or its re-bootstrap (cold) has completed.
     pub completed_at: SimTime,
 }
 

@@ -14,6 +14,7 @@ use crate::trace::TraceKind;
 use crate::world::RaveSim;
 use rave_grid::TechnicalModel;
 use rave_scene::{InterestSet, NodeCost, NodeId};
+use rave_sim::SimTime;
 use std::collections::BTreeSet;
 
 /// A rebalance trigger. Initial plans, migrations and failover re-plans
@@ -269,7 +270,21 @@ pub fn process_events(
             }
         }
     }
+    if !outcome.moved.is_empty() {
+        refresh_interests(sim, ds_id);
+    }
     outcome
+}
+
+/// Bring `ds_id`'s interest closures (and its routing index) up to date
+/// with the roots the pass's relocations edited. Called once per pass,
+/// after the last relocation: nothing in a pass reads a closure between
+/// two relocations. A data service that failed over within the pass is
+/// gone; its successor refreshed the roots it inherited on subscribe.
+fn refresh_interests(sim: &mut RaveSim, ds_id: DataServiceId) {
+    if let Some(ds) = sim.world.data_services.get_mut(&ds_id) {
+        ds.refresh_interests();
+    }
 }
 
 /// Handle the death of a data service. Preference order: promote the
@@ -288,25 +303,25 @@ fn handle_data_failure(sim: &mut RaveSim, dead: DataServiceId, outcome: &mut Mig
         outcome.promotions.push(report);
         return;
     }
-    let (host, store_dir, n_subs) = {
+    let (host, store_dir) = {
         let ds = sim.world.data(dead);
-        (ds.host.clone(), ds.store_dir.clone(), ds.subscribers.len())
+        (ds.host.clone(), ds.store_dir.clone())
     };
     if let Some(dir) = store_dir {
         let now = sim.now();
-        let new_id = crate::bootstrap::recover_data_service(sim, dead, &host, &dir)
+        let (new_id, rebootstraps) = crate::bootstrap::recover_data_service(sim, dead, &host, &dir)
             .expect("cold recovery from an intact store");
         outcome.promotions.push(crate::replica::PromotionReport {
             failed: dead,
             promoted: new_id,
             warm: false,
-            subscribers_moved: n_subs,
+            subscribers_moved: rebootstraps.len(),
             residual_entries: 0,
-            replayed_bytes: 0,
+            replayed_bytes: rebootstraps.iter().map(|t| t.snapshot_bytes).sum(),
             // The store is lossless up to its last durable append;
             // anything past it died with the host and is unknowable here.
             lost_updates: 0,
-            completed_at: now,
+            completed_at: rebootstraps.iter().map(|t| t.ready_at).fold(now, SimTime::max),
         });
         return;
     }
@@ -405,7 +420,7 @@ fn handle_overload(
         }
     }
     for (node, to, cost) in placed {
-        move_node(sim, ds_id, node, over_rs, to, &cost);
+        relocate(sim, ds_id, node, Some(over_rs), Some(to), &cost);
         batch.moved_nodes.insert(node);
         outcome.moved.push((node, over_rs, to));
     }
@@ -430,7 +445,7 @@ fn handle_overload(
                     }
                     if room.fits(&cost) {
                         room.debit(&cost);
-                        move_node(sim, ds_id, node, over_rs, new_rs, &cost);
+                        relocate(sim, ds_id, node, Some(over_rs), Some(new_rs), &cost);
                         batch.moved_nodes.insert(node);
                         outcome.moved.push((node, over_rs, new_rs));
                     } else {
@@ -516,7 +531,7 @@ fn handle_underload(
                 trace_decision(sim, &record, "Underload");
             }
             room.polygons -= cost.polygons;
-            move_node(sim, ds_id, node, donor, under_rs, &cost);
+            relocate(sim, ds_id, node, Some(donor), Some(under_rs), &cost);
             batch.moved_nodes.insert(node);
             outcome.moved.push((node, donor, under_rs));
         }
@@ -534,43 +549,8 @@ fn handle_failure(
     batch: &mut Batch,
     outcome: &mut MigrationOutcome,
 ) {
-    let now = sim.now();
     let cfg = sim.world.config.clone();
-    if !sim.world.render_services.contains_key(&dead) {
-        return;
-    }
-
-    // Take the dead service's interest roots off the subscription.
-    let orphaned: Vec<NodeId> = {
-        let ds = sim.world.data_mut(ds_id);
-        let roots = ds
-            .subscribers
-            .get(&dead)
-            .map(|sub| {
-                if sub.interest.is_everything() {
-                    // A full replica holds everything; its loss orphans
-                    // nothing that others don't already have.
-                    Vec::new()
-                } else {
-                    sub.interest.roots().collect()
-                }
-            })
-            .unwrap_or_default();
-        ds.unsubscribe(dead);
-        roots
-    };
-    // Remove the dead service from the world, the registry, and the
-    // scheduler's throughput memory: its replica, advertisement and
-    // measurements are gone.
-    let dead_host = sim.world.render(dead).host.clone();
-    sim.world.render_services.remove(&dead);
-    sim.world.registry.unpublish("RAVE", &dead_host, &format!("render-{dead}"));
-    sim.world.sched.throughput.forget(dead);
-    sim.world.trace.record(
-        now,
-        TraceKind::Overload,
-        format!("{dead} failed; {} orphaned subtree(s)", orphaned.len()),
-    );
+    let Some(orphaned) = teardown_render_service(sim, ds_id, dead) else { return };
     if orphaned.is_empty() {
         return;
     }
@@ -608,7 +588,7 @@ fn handle_failure(
         }
     }
     for (node, to, cost) in placed {
-        move_node(sim, ds_id, node, dead, to, &cost);
+        relocate(sim, ds_id, node, Some(dead), Some(to), &cost);
         batch.moved_nodes.insert(node);
         outcome.moved.push((node, dead, to));
     }
@@ -625,7 +605,7 @@ fn handle_failure(
                         };
                         trace_decision(sim, &record, "Failure");
                     }
-                    move_node(sim, ds_id, node, dead, new_rs, &cost);
+                    relocate(sim, ds_id, node, Some(dead), Some(new_rs), &cost);
                     batch.moved_nodes.insert(node);
                     outcome.moved.push((node, dead, new_rs));
                 }
@@ -638,60 +618,72 @@ fn handle_failure(
     }
 }
 
-/// Execute one node move: update interest sets at the data service,
-/// charge the data transfer to the receiving service, and install/remove
-/// the subtree on the replicas.
-fn move_node(
+/// Relocate one workload: `from → to` is a migration, `None → to` a
+/// first placement, `from → None` a drop (the workload left the plan).
+/// The subscription roots at the data service change now. The receiver
+/// gets the subtree when its transfer lands, and until then the old
+/// holder keeps rendering it (best effort); a drop cleans the holder at
+/// once. The interest closures are left stale: the pass owner refreshes
+/// them once after its last relocation.
+fn relocate(
     sim: &mut RaveSim,
     ds_id: DataServiceId,
     node: NodeId,
-    from: RenderServiceId,
-    to: RenderServiceId,
+    from: Option<RenderServiceId>,
+    to: Option<RenderServiceId>,
     cost: &NodeCost,
 ) {
-    let now = sim.now();
-    let ds_host = sim.world.data(ds_id).host.clone();
-    let to_host = sim.world.render(to).host.clone();
-
-    // Update interest sets (data-service side routing).
+    // A receiver that is already gone takes nothing.
+    let to_host = match to {
+        Some(to) => match sim.world.render_services.get(&to) {
+            Some(rs) => Some(rs.host.clone()),
+            None => return,
+        },
+        None => None,
+    };
     {
         let ds = sim.world.data_mut(ds_id);
-        if let Some(sub) = ds.subscribers.get_mut(&from) {
+        if let Some(sub) = from.and_then(|from| ds.subscribers.get_mut(&from)) {
             sub.interest.remove_root(node);
         }
-        if let Some(sub) = ds.subscribers.get_mut(&to) {
+        if let Some(sub) = to.and_then(|to| ds.subscribers.get_mut(&to)) {
             sub.interest.add_root(node);
         }
-        ds.refresh_interests();
     }
+    let (Some(to), Some(to_host)) = (to, to_host) else {
+        release(sim, from, node);
+        return;
+    };
 
-    // Replica surgery now; the transfer cost lands on the receiving side
-    // as an arrival event (the node is "in flight" until then, but the
-    // old holder keeps rendering it until the handoff — best effort).
-    let subtree = {
+    let now = sim.now();
+    let (ds_host, subtree) = {
         let ds = sim.world.data(ds_id);
-        ds.scene.extract_subset(&[node])
+        (ds.host.clone(), ds.scene.extract_subset(&[node]))
     };
     let bytes = cost.data_bytes.max(256);
     let arrival = sim.world.send_bytes(now, &ds_host, &to_host, bytes);
     sim.schedule_at(arrival, move |sim| {
         let at = sim.now();
-        // The donor may already be gone (failure-triggered moves).
-        if let Some(rs) = sim.world.render_services.get_mut(&from) {
-            let _ = rs.scene.remove(node);
-            rs.interest.remove_root(node);
-        }
-        {
-            let rs = sim.world.render_mut(to);
+        release(sim, from, node);
+        if let Some(rs) = sim.world.render_services.get_mut(&to) {
             rs.interest.add_root(node);
             rs.scene.merge_subset(&subtree);
         }
-        sim.world.trace.record(
-            at,
-            TraceKind::Migration,
-            format!("node {node} moved {from} -> {to}"),
-        );
+        let detail = match from {
+            Some(from) => format!("node {node} moved {from} -> {to}"),
+            None => format!("node {node} installed on {to}"),
+        };
+        sim.world.trace.record(at, TraceKind::Migration, detail);
     });
+}
+
+/// Take `node` off its old holder's replica, if there was one and it is
+/// still alive (a failed donor is already gone).
+fn release(sim: &mut RaveSim, holder: Option<RenderServiceId>, node: NodeId) {
+    if let Some(rs) = holder.and_then(|h| sim.world.render_services.get_mut(&h)) {
+        let _ = rs.scene.remove(node);
+        rs.interest.remove_root(node);
+    }
 }
 
 /// Recruit one registered-but-unconnected render service via UDDI,
@@ -776,7 +768,9 @@ pub fn incremental_replan(
     // against.
     for ev in events {
         match *ev {
-            SchedEvent::Failure { service } => teardown_render_service(sim, ds_id, service),
+            SchedEvent::Failure { service } => {
+                teardown_render_service(sim, ds_id, service);
+            }
             SchedEvent::DataFailure { service } => {
                 sim.world.sched.plans.remove(&service);
                 handle_data_failure(sim, service, &mut out.migration);
@@ -863,16 +857,31 @@ fn gross_basis(
         .collect()
 }
 
-/// The teardown half of [`handle_failure`] — unsubscribe, deregister,
-/// forget measurements. Re-homing the dead service's share is not done
-/// here: dropping it from the capacity basis makes the plan replay
-/// reassign every workload it held.
-fn teardown_render_service(sim: &mut RaveSim, ds_id: DataServiceId, dead: RenderServiceId) {
+/// Take a dead render service out of the session: unsubscribe it,
+/// deregister it, forget its measurements. Returns the subtree roots its
+/// subscription held (none for a full replica: its loss orphans nothing
+/// others lack), or `None` when the service is already gone. Re-homing
+/// them is the caller's job — [`handle_failure`] places them through the
+/// ledger; the incremental replay drops the service from its capacity
+/// basis and so reassigns every workload it held.
+fn teardown_render_service(
+    sim: &mut RaveSim,
+    ds_id: DataServiceId,
+    dead: RenderServiceId,
+) -> Option<Vec<NodeId>> {
     if !sim.world.render_services.contains_key(&dead) {
-        return;
+        return None;
     }
     let now = sim.now();
-    sim.world.data_mut(ds_id).unsubscribe(dead);
+    let orphaned = {
+        let ds = sim.world.data_mut(ds_id);
+        let roots = match ds.subscribers.get(&dead) {
+            Some(sub) if !sub.interest.is_everything() => sub.interest.roots().collect(),
+            _ => Vec::new(),
+        };
+        ds.unsubscribe(dead);
+        roots
+    };
     let dead_host = sim.world.render(dead).host.clone();
     sim.world.render_services.remove(&dead);
     sim.world.registry.unpublish("RAVE", &dead_host, &format!("render-{dead}"));
@@ -881,8 +890,9 @@ fn teardown_render_service(sim: &mut RaveSim, ds_id: DataServiceId, dead: Render
     sim.world.trace.record(
         now,
         TraceKind::Overload,
-        format!("{dead} failed; plan replay will re-home its share"),
+        format!("{dead} failed; {} orphaned subtree(s)", orphaned.len()),
     );
+    Some(orphaned)
 }
 
 /// Apply a plan diff to the world: placement changes become migrations,
@@ -897,66 +907,16 @@ fn apply_plan_diff(
     for &(node, old, new) in &diff.moved {
         let cost =
             sim.world.data(ds_id).scene.node(node).map(|n| n.own_cost()).unwrap_or(NodeCost::ZERO);
-        match old {
-            Some(from) => {
-                move_node(sim, ds_id, node, from, new, &cost);
-                outcome.moved.push((node, from, new));
-            }
-            None => install_node(sim, ds_id, node, new, &cost),
+        relocate(sim, ds_id, node, old, Some(new), &cost);
+        if let Some(from) = old {
+            outcome.moved.push((node, from, new));
         }
     }
     for &(node, from) in &diff.dropped {
-        uninstall_node(sim, ds_id, node, from);
+        relocate(sim, ds_id, node, Some(from), None, &NodeCost::ZERO);
     }
-}
-
-/// First placement of a workload: interest surgery on the receiving side
-/// only, with the subtree transfer charged like a migration's.
-fn install_node(
-    sim: &mut RaveSim,
-    ds_id: DataServiceId,
-    node: NodeId,
-    to: RenderServiceId,
-    cost: &NodeCost,
-) {
-    let now = sim.now();
-    let ds_host = sim.world.data(ds_id).host.clone();
-    let Some(to_host) = sim.world.render_services.get(&to).map(|rs| rs.host.clone()) else {
-        return;
-    };
-    {
-        let ds = sim.world.data_mut(ds_id);
-        if let Some(sub) = ds.subscribers.get_mut(&to) {
-            sub.interest.add_root(node);
-        }
-        ds.refresh_interests();
-    }
-    let subtree = sim.world.data(ds_id).scene.extract_subset(&[node]);
-    let bytes = cost.data_bytes.max(256);
-    let arrival = sim.world.send_bytes(now, &ds_host, &to_host, bytes);
-    sim.schedule_at(arrival, move |sim| {
-        let at = sim.now();
-        if let Some(rs) = sim.world.render_services.get_mut(&to) {
-            rs.interest.add_root(node);
-            rs.scene.merge_subset(&subtree);
-        }
-        sim.world.trace.record(at, TraceKind::Migration, format!("node {node} installed on {to}"));
-    });
-}
-
-/// A workload left the plan (removed from the scene or split away):
-/// clean it off the service that held it.
-fn uninstall_node(sim: &mut RaveSim, ds_id: DataServiceId, node: NodeId, from: RenderServiceId) {
-    {
-        let ds = sim.world.data_mut(ds_id);
-        if let Some(sub) = ds.subscribers.get_mut(&from) {
-            sub.interest.remove_root(node);
-        }
-        ds.refresh_interests();
-    }
-    if let Some(rs) = sim.world.render_services.get_mut(&from) {
-        let _ = rs.scene.remove(node);
-        rs.interest.remove_root(node);
+    if !diff.moved.is_empty() || !diff.dropped.is_empty() {
+        refresh_interests(sim, ds_id);
     }
 }
 
@@ -1171,6 +1131,137 @@ mod tests {
             "removed node must be dropped from its holder: {diff:?}"
         );
         assert!(!sim.world.render(holder).interest.roots().any(|r| r == gone));
+    }
+
+    /// Right after a pass, every subscription's closure must be what a
+    /// fresh refresh computes, and routing an update under each relocated
+    /// node must agree with the `InterestSet::relevant` oracle.
+    fn assert_routing_fresh(sim: &mut RaveSim, ds: DataServiceId, relocated: &[NodeId]) {
+        let d = sim.world.data_mut(ds);
+        for (rs, sub) in &d.subscribers {
+            let mut fresh = sub.interest.clone();
+            fresh.refresh(&d.scene);
+            assert_eq!(sub.interest, fresh, "{rs}'s closure is stale after the pass");
+        }
+        for &node in relocated {
+            let target = d.scene.node(node).and_then(|n| n.children().next()).unwrap_or(node);
+            let update = rave_scene::SceneUpdate::SetTransform {
+                id: target,
+                transform: rave_scene::Transform::from_translation(Vec3::X),
+            };
+            let stamped = Arc::new(d.stamp("test", update));
+            let oracle: Vec<RenderServiceId> = d
+                .subscribers
+                .iter()
+                .filter(|(_, sub)| {
+                    let mut fresh = sub.interest.clone();
+                    fresh.refresh(&d.scene);
+                    fresh.relevant(&stamped.update, &d.scene)
+                })
+                .map(|(rs, _)| *rs)
+                .collect();
+            assert_eq!(d.route(&stamped), oracle, "routing under relocated node {node}");
+        }
+    }
+
+    #[test]
+    fn interests_and_routing_are_fresh_after_multi_move_passes() {
+        let mut sim = Simulation::new(RaveWorld::paper_testbed(RaveConfig::default(), 5));
+        let ds = sim.world.spawn_data_service("adrenochrome", "sess");
+        {
+            let scene = &mut sim.world.data_mut(ds).scene;
+            let root = scene.root();
+            for i in 0..24 {
+                let group = scene.add_node(root, format!("g{i}"), NodeKind::Group).unwrap();
+                scene.add_node(group, "mesh", mesh(20_000 + 2_000 * i)).unwrap();
+            }
+        }
+        for host in ["onyx", "v880z", "desktop", "tower", "laptop"] {
+            let rs = sim.world.spawn_render_service(host);
+            sim.world.data_mut(ds).subscribe_live(rs, InterestSet::subtrees([]));
+        }
+        let busiest = |sim: &RaveSim| {
+            let subs = &sim.world.data(ds).subscribers;
+            let (rs, sub) =
+                subs.iter().max_by_key(|(_, sub)| sub.interest.roots().count()).unwrap();
+            (*rs, sub.interest.roots().count())
+        };
+        let nodes = |moved: &[(NodeId, Option<RenderServiceId>, RenderServiceId)]| {
+            moved.iter().map(|&(node, _, _)| node).collect::<Vec<_>>()
+        };
+
+        // One incremental pass places every unit: many first placements.
+        let diff = incremental_replan(&mut sim, ds, &[]).diff.expect("first pass builds the plan");
+        assert!(diff.moved.len() >= 8, "{} units placed", diff.moved.len());
+        assert_routing_fresh(&mut sim, ds, &nodes(&diff.moved));
+        sim.run();
+
+        // A failure folded into the plan: the replay migrates many units.
+        let (victim, _) = busiest(&sim);
+        let diff = incremental_replan(&mut sim, ds, &[SchedEvent::Failure { service: victim }])
+            .diff
+            .expect("a lost service replans");
+        let migrated = diff.moved.iter().filter(|(_, old, _)| old.is_some()).count();
+        assert!(migrated >= 2, "{migrated} units migrated");
+        assert_routing_fresh(&mut sim, ds, &nodes(&diff.moved));
+        sim.run();
+
+        // A failure through the event path orphans several roots,
+        // re-homed in one pass.
+        let (victim, roots) = busiest(&sim);
+        assert!(roots >= 2, "{victim} holds {roots} roots");
+        let outcome = process_events(&mut sim, ds, &[SchedEvent::Failure { service: victim }]);
+        assert_eq!(outcome.moved.len(), roots, "every orphan re-homed");
+        let rehomed: Vec<NodeId> = outcome.moved.iter().map(|&(node, _, _)| node).collect();
+        assert_routing_fresh(&mut sim, ds, &rehomed);
+    }
+
+    #[test]
+    fn cold_failover_completes_when_the_last_rebootstrap_is_ready() {
+        let dir = std::env::temp_dir().join(format!("rave-cold-failover-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut sim = Simulation::new(RaveWorld::paper_testbed(RaveConfig::default(), 7));
+        let ds = sim.world.spawn_data_service("adrenochrome", "sess");
+        sim.world.data_mut(ds).attach_store(&dir, rave_store::StoreConfig::default()).unwrap();
+        // Every edit goes through the log: the store is all that survives.
+        let add = |sim: &mut RaveSim, parent: Option<NodeId>, name: String, kind: NodeKind| {
+            let scene = &mut sim.world.data_mut(ds).scene;
+            let (id, parent) = (scene.allocate_id(), parent.unwrap_or(scene.root()));
+            let update = rave_scene::SceneUpdate::AddNode { id, parent, name, kind };
+            crate::world::publish_update(sim, ds, "test", update).unwrap();
+            id
+        };
+        let part = add(&mut sim, None, "part".into(), mesh(50_000));
+        for (host, interest) in
+            [("laptop", InterestSet::everything()), ("tower", InterestSet::subtrees([part]))]
+        {
+            let rs = sim.world.spawn_render_service(host);
+            sim.world.data_mut(ds).subscribe_live(rs, interest);
+        }
+        for i in 0..20 {
+            add(&mut sim, Some(part), format!("n{i}"), NodeKind::Group);
+        }
+        sim.run();
+
+        let failed_at = sim.now();
+        let outcome = process_events(&mut sim, ds, &[SchedEvent::DataFailure { service: ds }]);
+        let report = outcome.promotions.first().expect("a store-backed primary recovers");
+        assert!(!report.warm);
+        assert_eq!(report.subscribers_moved, 2);
+        assert!(report.replayed_bytes > 0, "the re-bootstraps ship snapshots");
+        sim.run();
+        let last_ready = sim
+            .world
+            .trace
+            .events()
+            .iter()
+            .filter(|e| e.kind == TraceKind::Bootstrap)
+            .map(|e| e.at)
+            .max()
+            .expect("both subscribers re-bootstrap");
+        assert!(report.completed_at > failed_at, "stamped at the failure instant");
+        assert_eq!(report.completed_at, last_ready);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -11,6 +11,7 @@ use crate::capacity::CapacityReport;
 use crate::config::CompressionMode;
 use crate::ids::{ClientId, RenderServiceId};
 use crate::sched::placement::rank_helpers;
+use crate::sched::ThroughputTracker;
 use crate::trace::TraceKind;
 use crate::world::RaveSim;
 use rave_compress::adaptive::EndpointSpeed;
@@ -72,16 +73,6 @@ pub fn plan_tiles(
     TilePlan { tiles }
 }
 
-/// Per-service render throughput in
-/// [`rave_render::raster::RasterStats::cost_units`] per second. This is
-/// the §3.2.5 feedback loop closed: advertised capacity seeds the plan,
-/// but the split converges on what each service *actually* delivers.
-///
-/// The EWMA itself was promoted into the scheduler as
-/// [`crate::sched::ThroughputTracker`]; this alias keeps the tile
-/// planner's historical name working.
-pub type TileCostTracker = crate::sched::ThroughputTracker;
-
 /// Like [`plan_tiles`], but strip widths follow *measured* throughput
 /// from `tracker` where available: a helper that advertised a big GPU but
 /// delivers tiles slowly shrinks, a quietly fast one grows. Services
@@ -91,7 +82,7 @@ pub fn plan_tiles_with_feedback(
     viewport: &Viewport,
     owner: RenderServiceId,
     helpers: &[CapacityReport],
-    tracker: &TileCostTracker,
+    tracker: &ThroughputTracker,
 ) -> TilePlan {
     let ordered = usable_helpers(viewport, helpers);
     if tracker.observed_services() == 0 || viewport.width == 0 {
@@ -133,7 +124,7 @@ pub struct TiledFrameResult {
     /// Whether any stale tile was used (tearing possible).
     pub used_stale_tile: bool,
     /// Per-tile measured cost, parallel to the plan — the feedback signal
-    /// for [`TileCostTracker`].
+    /// for [`ThroughputTracker`].
     pub tile_costs: Vec<TileCost>,
 }
 
@@ -144,7 +135,7 @@ pub struct TiledFrameResult {
 pub fn record_tile_costs(
     sim: &mut RaveSim,
     result: &TiledFrameResult,
-    tracker: &mut TileCostTracker,
+    tracker: &mut ThroughputTracker,
 ) {
     let mut detail = String::from("tile throughput:");
     let mut any = false;
@@ -279,8 +270,9 @@ pub fn render_tiled_frame(
         // stitched into a composite that must match a monolithic render.
         let arrival = match (&img, sim.world.config.frame_compression) {
             (Some(fb), CompressionMode::Adaptive) => {
-                let out = crate::frame_stream::send_frame(
+                let out = crate::frame_stream::send_frame_after(
                     &mut sim.world,
+                    rendered,
                     rendered,
                     *svc,
                     client,
@@ -427,7 +419,7 @@ mod tests {
         let owner = RenderServiceId(1);
         let helpers = [report(RenderServiceId(2), 100), report(RenderServiceId(3), 100)];
 
-        let mut tracker = TileCostTracker::new();
+        let mut tracker = ThroughputTracker::new();
         // No observations: identical to the capacity plan.
         let cold = plan_tiles_with_feedback(&vp, owner, &helpers, &tracker);
         assert_eq!(cold, plan_tiles(&vp, owner, &helpers));
@@ -449,7 +441,7 @@ mod tests {
 
     #[test]
     fn tracker_ewma_converges_and_ignores_zero_durations() {
-        let mut tracker = TileCostTracker::new();
+        let mut tracker = ThroughputTracker::new();
         let svc = RenderServiceId(7);
         tracker.record(svc, 1000, 0.0); // stale tile: no measurement
         assert!(tracker.throughput(svc).is_none());
@@ -578,7 +570,7 @@ mod tests {
         assert_eq!(result.tile_costs.len(), 2);
         assert!(result.tile_costs.iter().all(|tc| tc.fresh && tc.render_seconds > 0.0));
 
-        let mut tracker = TileCostTracker::new();
+        let mut tracker = ThroughputTracker::new();
         record_tile_costs(&mut sim, &result, &mut tracker);
         assert!(tracker.throughput(owner).is_some());
         assert!(tracker.throughput(helper).is_some());

@@ -191,6 +191,23 @@ impl DirtLog {
             self.nodes.push(id);
         }
     }
+
+    /// Report what was noted since the last drain (sorted, deduplicated
+    /// ids) and reset to clean; the epoch keeps counting.
+    fn drain(&mut self) -> CostDirt {
+        let out = if self.saturated {
+            CostDirt::Everything
+        } else if self.nodes.is_empty() {
+            CostDirt::Clean
+        } else {
+            let mut ids = std::mem::take(&mut self.nodes);
+            ids.sort_unstable();
+            ids.dedup();
+            CostDirt::Nodes(ids)
+        };
+        self.saturated = false;
+        out
+    }
 }
 
 /// A scene tree: a rooted hierarchy of typed nodes over a flat
@@ -1076,18 +1093,7 @@ impl SceneTree {
     /// whose log overflowed — consumers must then re-derive their view
     /// with a full walk.
     pub fn drain_cost_dirt(&mut self) -> CostDirt {
-        let out = if self.dirt.saturated {
-            CostDirt::Everything
-        } else if self.dirt.nodes.is_empty() {
-            CostDirt::Clean
-        } else {
-            let mut ids = std::mem::take(&mut self.dirt.nodes);
-            ids.sort_unstable();
-            ids.dedup();
-            CostDirt::Nodes(ids)
-        };
-        self.dirt = DirtLog { epoch: self.dirt.epoch, nodes: Vec::new(), saturated: false };
-        out
+        self.dirt.drain()
     }
 
     // ---- structure-dirt export ------------------------------------------
@@ -1106,18 +1112,7 @@ impl SceneTree {
     /// an independent log, so the interest index draining here never
     /// starves the scheduler draining the cost log.
     pub fn drain_structure_dirt(&mut self) -> CostDirt {
-        let out = if self.sdirt.saturated {
-            CostDirt::Everything
-        } else if self.sdirt.nodes.is_empty() {
-            CostDirt::Clean
-        } else {
-            let mut ids = std::mem::take(&mut self.sdirt.nodes);
-            ids.sort_unstable();
-            ids.dedup();
-            CostDirt::Nodes(ids)
-        };
-        self.sdirt = DirtLog { epoch: self.sdirt.epoch, nodes: Vec::new(), saturated: false };
-        out
+        self.sdirt.drain()
     }
 
     /// A node's subtree as its contiguous pre-order slice: `(pos, len)`

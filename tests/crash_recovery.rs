@@ -109,7 +109,7 @@ fn session_survives_data_service_crash() {
     // Crash: the data-service process dies mid-append. The torn record
     // was never applied anywhere — it is not part of the session.
     tear_wal_tail(&dir);
-    let new_ds = recover_data_service(&mut sim, ds, "v880z", &dir).unwrap();
+    let (new_ds, _) = recover_data_service(&mut sim, ds, "v880z", &dir).unwrap();
     assert_ne!(new_ds, ds);
 
     // The replacement recovered exactly the pre-crash state...

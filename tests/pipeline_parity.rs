@@ -72,8 +72,9 @@ fn reference_cycle(sim: &mut RaveSim, client_id: ClientId, remaining: u64) {
                 frame_stream::synthesize_frame(vp.width, vp.height, seq)
             };
             let allow_lossy = sim.world.config.allow_lossy_frames;
-            let out = frame_stream::send_frame(
+            let out = frame_stream::send_frame_after(
                 &mut sim.world,
+                t_rendered,
                 t_rendered,
                 rs_id,
                 client_id,
