@@ -12,9 +12,12 @@
 //!    population (10k full, 1k quick) and is asserted ≥50x (quick: ≥5x).
 //! 2. Delivery: full simulated ticks through `publish_batch` on a
 //!    16-segment machine-room network — camera-move batches fanned out
-//!    to every subscriber via `multicast_deliver`, one wire transmission
-//!    per receiving segment — reporting wall-clock tick time and the
-//!    multicast/unicast wire-byte ratio, plus the same on the paper's
+//!    to every subscriber through a `ResolvedFanout` (each subscriber's
+//!    endpoint resolved once per batch, one wire transmission per
+//!    receiving segment per update) — reporting `tick_ms`, the host
+//!    (wall-clock) time per simulated tick including event dispatch and
+//!    replica application, and the multicast/unicast wire-byte ratio,
+//!    plus the same on the paper's
 //!    testbed (~24 clients across 6 LAN hosts + 1 wireless PDA), whose
 //!    `testbed_wire_ratio` is asserted ≤0.2 (§3.1.2's "network
 //!    bandwidth-saving techniques such as multicasting").

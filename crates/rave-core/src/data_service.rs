@@ -5,7 +5,7 @@ use crate::ids::{DataServiceId, RenderServiceId};
 use crate::persist::{Persistence, StorePersistence};
 use rave_scene::{
     AuditEntry, AuditTrail, CostDirt, InterestIndex, InterestSet, SceneTree, SceneUpdate,
-    StampedUpdate, UpdateError,
+    StampedUpdate, SubSlot, UpdateError,
 };
 use rave_store::StoreConfig;
 use std::collections::BTreeMap;
@@ -67,6 +67,16 @@ impl FanoutTotals {
     }
 }
 
+/// A batch routed in one pass by [`DataService::route_batch`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RoutedBatch {
+    /// Slot → subscriber, every subscriber in ascending id order.
+    pub subscribers: Vec<RenderServiceId>,
+    /// Per update, in batch order: the slots of the live subscribers it
+    /// must be delivered to.
+    pub targets: Vec<Vec<SubSlot>>,
+}
+
 /// One render service's subscription.
 #[derive(Debug, Clone)]
 pub struct Subscription {
@@ -113,8 +123,10 @@ pub struct DataService {
     index_live: Vec<bool>,
     index_rev: u64,
     index_built_rev: u64,
-    /// Scratch for `route`'s matched slots, reused across calls.
-    route_slots: Vec<rave_scene::SubSlot>,
+    /// Scratch for `route`'s matched slots and the live ones among them,
+    /// reused across calls.
+    route_slots: Vec<SubSlot>,
+    route_live: Vec<SubSlot>,
     /// Multicast-vs-unicast delivery accounting, fed by the world's
     /// publish path.
     pub fanout: FanoutTotals,
@@ -139,6 +151,7 @@ impl DataService {
             index_rev: 1,
             index_built_rev: 0,
             route_slots: Vec::new(),
+            route_live: Vec::new(),
             fanout: FanoutTotals::default(),
         }
     }
@@ -326,29 +339,51 @@ impl DataService {
     /// interest index.
     pub fn route(&mut self, stamped: &Arc<StampedUpdate>) -> Vec<RenderServiceId> {
         self.ensure_index();
+        self.match_live(stamped);
+        self.route_live.iter().map(|&slot| self.index_sub_ids[slot as usize]).collect()
+    }
+
+    /// [`DataService::route`] over a whole batch in seq order against one
+    /// index state, answering in dense subscriber slots so the publish
+    /// path can keep per-subscriber state in arrays.
+    pub fn route_batch(&mut self, batch: &[Arc<StampedUpdate>]) -> RoutedBatch {
+        self.ensure_index();
+        let targets = batch
+            .iter()
+            .map(|stamped| {
+                self.match_live(stamped);
+                self.route_live.clone()
+            })
+            .collect();
+        RoutedBatch { subscribers: self.index_sub_ids.clone(), targets }
+    }
+
+    /// Match `stamped` against the (fresh) index: the live matched slots
+    /// land in `route_live`, and bootstrapping matches buffer an `Arc`
+    /// share of the update.
+    fn match_live(&mut self, stamped: &Arc<StampedUpdate>) {
         let mut slots = std::mem::take(&mut self.route_slots);
         self.index.matches(&stamped.update, &self.scene, &mut slots);
-        let mut deliver = Vec::with_capacity(slots.len());
+        self.route_live.clear();
         for &slot in &slots {
-            let rs = self.index_sub_ids[slot as usize];
             // Hot path: the liveness snapshot (refreshed with the index)
             // spares a subscriber-map lookup per matched slot — at 10k
             // subscribers the lookups, not the stab, dominate routing.
             if self.index_live[slot as usize] {
-                deliver.push(rs);
+                self.route_live.push(slot);
                 continue;
             }
             // The map cannot have shrunk (ensure_index compares counts),
             // but stay defensive about membership anyway.
+            let rs = self.index_sub_ids[slot as usize];
             if let Some(sub) = self.subscribers.get_mut(&rs) {
                 match &mut sub.state {
                     SubState::Bootstrapping { buffered } => buffered.push(Arc::clone(stamped)),
-                    SubState::Live => deliver.push(rs),
+                    SubState::Live => self.route_live.push(slot),
                 }
             }
         }
         self.route_slots = slots;
-        deliver
     }
 
     /// Refresh every subscriber's interest closure after structural scene

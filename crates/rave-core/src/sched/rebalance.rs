@@ -884,6 +884,7 @@ fn teardown_render_service(
     };
     let dead_host = sim.world.render(dead).host.clone();
     sim.world.render_services.remove(&dead);
+    sim.world.forget_delivery_marks(dead);
     sim.world.registry.unpublish("RAVE", &dead_host, &format!("render-{dead}"));
     sim.world.sched.throughput.forget(dead);
     sim.world.sched.drift_pending.remove(&dead);

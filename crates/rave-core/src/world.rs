@@ -2,7 +2,7 @@
 //! living inside a `rave_sim::Simulation`.
 
 use crate::config::RaveConfig;
-use crate::data_service::DataService;
+use crate::data_service::{DataService, RoutedBatch};
 use crate::frame_stream::FrameCache;
 use crate::ids::{ClientId, DataServiceId, RenderServiceId};
 use crate::render_service::RenderService;
@@ -12,11 +12,12 @@ use crate::trace::{EventTrace, TraceKind};
 use rave_grid::uddi::ServiceBinding;
 use rave_grid::wsdl::WsdlDocument;
 use rave_grid::{ServiceContainer, TechnicalModel, UddiCostModel, UddiRegistry};
-use rave_net::{Channel, Network};
+use rave_net::{Channel, MulticastDelivery, Network, ResolvedFanout};
 use rave_render::MachineProfile;
-use rave_scene::{SceneUpdate, UpdateError};
+use rave_scene::{SceneUpdate, StampedUpdate, UpdateError};
 use rave_sim::{SimRng, SimTime, Simulation};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// The simulation type every RAVE experiment drives.
 pub type RaveSim = Simulation<RaveWorld>;
@@ -251,6 +252,11 @@ impl RaveWorld {
         self.render_services.get_mut(&id).unwrap_or_else(|| panic!("no render service {id}"))
     }
 
+    /// Forget the FIFO delivery marks of a render service that is gone.
+    pub(crate) fn forget_delivery_marks(&mut self, rs: RenderServiceId) {
+        self.delivery_high_water.retain(|&(_, r), _| r != rs);
+    }
+
     pub fn client(&self, id: ClientId) -> &ThinClient {
         self.thin_clients.get(&id).unwrap_or_else(|| panic!("no thin client {id}"))
     }
@@ -275,16 +281,24 @@ pub fn publish_update(
 }
 
 /// Publish a batch of updates through a data service in one pass: every
-/// update is committed and stamped in order, routed through the inverted
-/// interest index (which folds the batch's structural edits in once, not
-/// per subscriber), and delivered with segment-multicast fan-out — one
-/// wire transmission per receiving segment per update, booked into
-/// [`crate::data_service::FanoutTotals`]. Each matched subscriber gets
-/// **one** delivery event carrying `Arc`-shared updates applied in seq
-/// order, so a 10k-client session tick schedules 10k events, not
-/// 10k × updates, and each replica's derived caches rebuild once per
-/// batch. Per-subscriber FIFO is preserved against earlier publishes via
-/// the delivery high-water mark.
+/// update is committed and stamped in order, the whole batch is routed
+/// through the inverted interest index (which folds the batch's
+/// structural edits in once, not per subscriber), and delivered with
+/// segment-multicast fan-out — one wire transmission per receiving
+/// segment per update, booked into
+/// [`crate::data_service::FanoutTotals`]. Each matched subscriber's
+/// delivery endpoint is resolved once per batch, so the per-update
+/// fan-out is arithmetic over dense per-subscriber slots. Each matched
+/// subscriber gets **one** delivery event holding the `Arc`-shared batch
+/// and the indices of its updates, applied in seq order, so a
+/// 10k-client session tick schedules 10k events, not 10k × updates, and
+/// each replica's derived caches rebuild once per batch.
+///
+/// Per-subscriber FIFO against earlier publishes (TCP semantics: a small
+/// update never overtakes a large one still on the wire) is kept by the
+/// delivery high-water mark, applied once per subscriber per batch: the
+/// event fires at `max(mark, latest wire arrival)`, which is exactly
+/// where folding the mark through the batch's arrivals one by one ends.
 ///
 /// On a commit failure the batch stops: the already-committed prefix is
 /// still delivered (it is in the audit trail), the failed update and the
@@ -296,8 +310,7 @@ pub fn publish_batch(
 ) -> Result<Vec<u64>, UpdateError> {
     let now = sim.now();
     let mut seqs = Vec::with_capacity(updates.len());
-    let mut batch: Vec<std::sync::Arc<rave_scene::StampedUpdate>> =
-        Vec::with_capacity(updates.len());
+    let mut batch: Vec<Arc<StampedUpdate>> = Vec::with_capacity(updates.len());
     let mut failure = None;
     {
         let ds = sim.world.data_mut(ds_id);
@@ -306,7 +319,7 @@ pub fn publish_batch(
             match ds.commit(now.as_secs(), &stamped) {
                 Ok(()) => {
                     seqs.push(stamped.seq);
-                    batch.push(std::sync::Arc::new(stamped));
+                    batch.push(Arc::new(stamped));
                 }
                 Err(e) => {
                     failure = Some(e);
@@ -325,55 +338,27 @@ pub fn publish_batch(
             format!("{ds_id} seq={} from {}", stamped.seq, stamped.origin),
         );
     }
-    let ds_host = sim.world.data(ds_id).host.clone();
-    // Delivery plan: per subscriber, the batch's matched updates (already
-    // in seq order) and their latest FIFO-adjusted arrival.
-    let mut per_sub: BTreeMap<
-        RenderServiceId,
-        (SimTime, Vec<std::sync::Arc<rave_scene::StampedUpdate>>),
-    > = BTreeMap::new();
-    for stamped in &batch {
-        let targets = sim.world.data_mut(ds_id).route(stamped);
-        if targets.is_empty() {
-            continue;
-        }
-        let size = stamped.wire_size();
-        // Multicast semantics: receivers grouped by host, each receiving
-        // segment charged one transmission, every arrival an independent
-        // transfer-time offset rather than a serialized channel send.
-        let (arrivals, delivery) = {
-            let world = &sim.world;
-            let hosts: Vec<&str> =
-                targets.iter().map(|rs| world.render(*rs).host.as_str()).collect();
-            let delivery = rave_net::multicast_deliver(&world.network, &ds_host, &hosts, size);
-            let arrivals: Vec<(RenderServiceId, SimTime)> =
-                delivery.arrivals.iter().map(|&(i, at)| (targets[i], now + at)).collect();
-            (arrivals, delivery)
-        };
-        sim.world.data_mut(ds_id).fanout.record(&delivery);
-        for (rs_id, wire) in arrivals {
-            // Deliveries to any one subscriber stay FIFO in publish order
-            // (TCP semantics): never earlier than anything already queued.
-            let hw = sim.world.delivery_high_water.entry((ds_id, rs_id)).or_insert(SimTime::ZERO);
-            let arrival = wire.max(*hw);
-            *hw = arrival;
-            let entry = per_sub.entry(rs_id).or_insert_with(|| (SimTime::ZERO, Vec::new()));
-            entry.0 = entry.0.max(arrival);
-            entry.1.push(std::sync::Arc::clone(stamped));
-        }
-    }
-    for (rs_id, (at, list)) in per_sub {
+    let routed = sim.world.data_mut(ds_id).route_batch(&batch);
+    let deliveries = plan_deliveries(&mut sim.world, ds_id, now, &batch, &routed);
+    let batch: Arc<[Arc<StampedUpdate>]> = batch.into();
+    for (rs_id, at, list) in deliveries {
+        let batch = Arc::clone(&batch);
         sim.schedule_at(at, move |sim| {
             let now = sim.now();
-            let trace_deliveries = sim.world.config.update_delivery_trace;
-            for stamped in &list {
-                let rs = sim.world.render_mut(rs_id);
+            let world = &mut sim.world;
+            // The service may have failed since the publish: its share
+            // of the batch dies with it.
+            let Some(rs) = world.render_services.get_mut(&rs_id) else {
+                return;
+            };
+            for &i in &list {
+                let stamped = &batch[i as usize];
                 // A benign race: the replica may legitimately reject an
                 // update to a node it never held (interest narrowed since
                 // routing).
                 let applied = stamped.update.apply(&mut rs.scene).is_ok();
-                if trace_deliveries {
-                    sim.world.trace.record(
+                if world.config.update_delivery_trace {
+                    world.trace.record(
                         now,
                         TraceKind::UpdateDelivered,
                         format!("seq={} -> {rs_id} applied={applied}", stamped.seq),
@@ -386,6 +371,58 @@ pub fn publish_batch(
         Some(e) => Err(e),
         None => Ok(seqs),
     }
+}
+
+/// Fan a routed batch out and book it: per matched subscriber (in id
+/// order), its FIFO-adjusted delivery time and the batch indices of its
+/// updates, in seq order.
+fn plan_deliveries(
+    world: &mut RaveWorld,
+    ds_id: DataServiceId,
+    now: SimTime,
+    batch: &[Arc<StampedUpdate>],
+    routed: &RoutedBatch,
+) -> Vec<(RenderServiceId, SimTime, Vec<u32>)> {
+    let slots = routed.subscribers.len();
+    let mut matched = vec![false; slots];
+    for &slot in routed.targets.iter().flatten() {
+        matched[slot as usize] = true;
+    }
+    let ds =
+        world.data_services.get_mut(&ds_id).unwrap_or_else(|| panic!("no data service {ds_id}"));
+    // One endpoint per matched subscriber; a service that is gone has no
+    // host and is skipped like a host the network does not know.
+    let mut fanout = ResolvedFanout::new(
+        &world.network,
+        &ds.host,
+        routed.subscribers.iter().zip(&matched).map(|(rs, &m)| {
+            m.then(|| world.render_services.get(rs).map(|r| r.host.as_str())).flatten()
+        }),
+    );
+    let mut latest: Vec<Option<SimTime>> = vec![None; slots];
+    let mut lists: Vec<Vec<u32>> = vec![Vec::new(); slots];
+    let mut delivery = MulticastDelivery::default();
+    for (u, targets) in routed.targets.iter().enumerate() {
+        if targets.is_empty() {
+            continue;
+        }
+        fanout.deliver(targets, batch[u].wire_size(), &mut delivery);
+        ds.fanout.record(&delivery);
+        for &(i, offset) in &delivery.arrivals {
+            let slot = targets[i] as usize;
+            let wire = now + offset;
+            latest[slot] = Some(latest[slot].map_or(wire, |w| w.max(wire)));
+            lists[slot].push(u as u32);
+        }
+    }
+    let mut deliveries = Vec::new();
+    for ((rs_id, wire), list) in routed.subscribers.iter().zip(latest).zip(lists) {
+        let Some(wire) = wire else { continue };
+        let hw = world.delivery_high_water.entry((ds_id, *rs_id)).or_insert(SimTime::ZERO);
+        *hw = (*hw).max(wire);
+        deliveries.push((*rs_id, *hw, list));
+    }
+    deliveries
 }
 
 #[cfg(test)]

@@ -29,7 +29,5 @@ pub mod topology;
 pub use channel::Channel;
 pub use frame::{Frame, FrameError, FrameKind};
 pub use link::LinkSpec;
-pub use multicast::{
-    multicast_cost, multicast_deliver, unicast_cost, FanoutCost, MulticastDelivery,
-};
+pub use multicast::{unicast_cost, FanoutCost, MulticastDelivery, ResolvedFanout};
 pub use topology::Network;

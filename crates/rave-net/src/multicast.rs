@@ -6,12 +6,11 @@
 //! would cost one transmission per subscriber. This module computes both
 //! so the saving is measurable.
 
-use crate::topology::Network;
+use crate::topology::{Endpoint, Network};
 use rave_sim::SimTime;
-use std::collections::BTreeSet;
 
 /// Result of a fan-out cost computation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FanoutCost {
     /// When each receiver gets the message (parallel per segment), as the
     /// max across receivers.
@@ -36,18 +35,9 @@ impl FanoutCost {
     }
 }
 
-/// Cost of multicasting `bytes` from `sender` to `receivers`: one
-/// transmission per distinct receiving segment (plus one per receiver on
-/// the sender's own segment if bridging is needed — modelled as a single
-/// segment transmission too, since 2004 multicast rode the LAN broadcast
-/// domain).
-pub fn multicast_cost(net: &Network, sender: &str, receivers: &[&str], bytes: u64) -> FanoutCost {
-    multicast_deliver(net, sender, receivers, bytes).cost
-}
-
 /// One multicast fan-out with per-receiver arrival times: what a data
 /// service delivering one update to its matched subscribers books.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MulticastDelivery {
     pub cost: FanoutCost,
     /// `(index into the receivers slice, arrival offset)` for every
@@ -62,52 +52,70 @@ pub struct MulticastDelivery {
     pub unicast_wire_bytes: u64,
 }
 
-/// Deliver `bytes` from `sender` to `receivers` with multicast fan-out:
-/// one transmission per distinct receiving segment, every receiver on a
-/// segment served by the same copy, arrival at its own transfer time.
-/// Unknown receiver hosts are skipped and counted (not panicked on —
-/// `FanoutCost::skipped`); segment dedup borrows the topology's segment
-/// names instead of allocating one `String` per receiver.
-pub fn multicast_deliver(
-    net: &Network,
-    sender: &str,
-    receivers: &[&str],
-    bytes: u64,
-) -> MulticastDelivery {
-    let mut segments: BTreeSet<&str> = BTreeSet::new();
-    let mut slowest = SimTime::ZERO;
-    let mut transmissions = 0u32;
-    let mut unicast = 0u32;
-    let mut skipped = 0u32;
-    let mut arrivals = Vec::with_capacity(receivers.len());
-    for (i, r) in receivers.iter().enumerate() {
-        if *r == sender {
-            // Local delivery: loopback time, no wire transmission.
-            arrivals.push((i, net.transfer_time(sender, r, bytes)));
-            continue;
-        }
-        let Some(seg) = net.segment_of(r) else {
-            skipped += 1;
-            continue;
-        };
-        unicast += 1;
-        if segments.insert(seg) {
-            transmissions += 1;
-        }
-        let at = net.transfer_time(sender, r, bytes);
-        slowest = slowest.max(at);
-        arrivals.push((i, at));
+/// One sender's receivers with their endpoints (loopback, a remote
+/// segment and the link to it, or unknown) resolved once, for any number
+/// of multicast deliveries to subsets of them. Each delivery
+/// is arithmetic over the resolved entries: a segment is charged one
+/// transmission the first time a delivery reaches it (deduplicated by a
+/// per-segment stamp, not a set), and every receiver on it shares that
+/// copy's transfer time — one sender reaches a segment over one link.
+#[derive(Debug, Clone)]
+pub struct ResolvedFanout<'n> {
+    endpoints: Vec<Endpoint<'n>>,
+    /// Per segment: the stamp of the delivery that last charged it, and
+    /// that delivery's transfer time over the segment's link.
+    charged: Vec<(u32, SimTime)>,
+    stamp: u32,
+}
+
+impl<'n> ResolvedFanout<'n> {
+    /// Resolve each receiver host against `net` as seen from `sender`. A
+    /// receiver with no host (`None`) counts as unknown, like a host the
+    /// topology does not know.
+    pub fn new<'h>(
+        net: &'n Network,
+        sender: &str,
+        receivers: impl IntoIterator<Item = Option<&'h str>>,
+    ) -> Self {
+        let endpoints = receivers
+            .into_iter()
+            .map(|r| r.map_or(Endpoint::Unknown, |r| net.endpoint(sender, r)))
+            .collect();
+        Self { endpoints, charged: vec![(0, SimTime::ZERO); net.segment_count()], stamp: 0 }
     }
-    MulticastDelivery {
-        cost: FanoutCost {
-            completion: slowest,
-            transmissions,
-            unicast_transmissions: unicast,
-            skipped,
-        },
-        arrivals,
-        wire_bytes: transmissions as u64 * bytes,
-        unicast_wire_bytes: unicast as u64 * bytes,
+
+    /// Deliver `bytes` to the receivers at `receivers` (indices into the
+    /// resolved endpoints), overwriting `out`: one transmission per
+    /// distinct receiving segment, every remote receiver arriving at its
+    /// segment's transfer time, local receivers at loopback time, unknown
+    /// ones skipped and counted. `out.arrivals` index into `receivers`.
+    pub fn deliver(&mut self, receivers: &[u32], bytes: u64, out: &mut MulticastDelivery) {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.charged.fill((0, SimTime::ZERO));
+            self.stamp = 1;
+        }
+        let mut cost = FanoutCost::default();
+        out.arrivals.clear();
+        for (i, &r) in receivers.iter().enumerate() {
+            match self.endpoints[r as usize] {
+                Endpoint::Local(link) => out.arrivals.push((i, link.transfer_time(bytes))),
+                Endpoint::Unknown => cost.skipped += 1,
+                Endpoint::Remote { segment, link } => {
+                    cost.unicast_transmissions += 1;
+                    let slot = &mut self.charged[segment];
+                    if slot.0 != self.stamp {
+                        *slot = (self.stamp, link.transfer_time(bytes));
+                        cost.transmissions += 1;
+                        cost.completion = cost.completion.max(slot.1);
+                    }
+                    out.arrivals.push((i, slot.1));
+                }
+            }
+        }
+        out.wire_bytes = cost.transmissions as u64 * bytes;
+        out.unicast_wire_bytes = cost.unicast_transmissions as u64 * bytes;
+        out.cost = cost;
     }
 }
 
@@ -133,11 +141,25 @@ pub fn unicast_cost(net: &Network, sender: &str, receivers: &[&str], bytes: u64)
 mod tests {
     use super::*;
 
+    /// One delivery from `sender` to every host in `receivers`.
+    fn multicast_deliver(
+        net: &Network,
+        sender: &str,
+        receivers: &[&str],
+        bytes: u64,
+    ) -> MulticastDelivery {
+        let all: Vec<u32> = (0..receivers.len() as u32).collect();
+        let mut out = MulticastDelivery::default();
+        ResolvedFanout::new(net, sender, receivers.iter().map(|r| Some(*r)))
+            .deliver(&all, bytes, &mut out);
+        out
+    }
+
     #[test]
     fn multicast_charges_once_per_segment() {
         let net = Network::paper_testbed(1.0);
         let receivers = ["desktop", "tower", "onyx", "v880z"]; // all on "lan"
-        let cost = multicast_cost(&net, "laptop", &receivers, 10_000);
+        let cost = multicast_deliver(&net, "laptop", &receivers, 10_000).cost;
         assert_eq!(cost.transmissions, 1);
         assert_eq!(cost.unicast_transmissions, 4);
         assert_eq!(cost.saving(), 0.75);
@@ -147,7 +169,7 @@ mod tests {
     fn cross_segment_adds_transmissions() {
         let net = Network::paper_testbed(1.0);
         let receivers = ["desktop", "zaurus"]; // lan + wlan
-        let cost = multicast_cost(&net, "laptop", &receivers, 10_000);
+        let cost = multicast_deliver(&net, "laptop", &receivers, 10_000).cost;
         assert_eq!(cost.transmissions, 2);
         // Completion bounded by the slow wireless hop.
         let wireless = net.transfer_time("laptop", "zaurus", 10_000);
@@ -157,7 +179,7 @@ mod tests {
     #[test]
     fn sender_excluded_from_receivers() {
         let net = Network::paper_testbed(1.0);
-        let cost = multicast_cost(&net, "laptop", &["laptop", "desktop"], 1000);
+        let cost = multicast_deliver(&net, "laptop", &["laptop", "desktop"], 1000).cost;
         assert_eq!(cost.unicast_transmissions, 1);
         assert_eq!(cost.transmissions, 1);
     }
@@ -166,7 +188,7 @@ mod tests {
     fn multicast_faster_than_unicast_for_many_receivers() {
         let net = Network::paper_testbed(1.0);
         let receivers = ["desktop", "tower", "onyx", "v880z", "adrenochrome"];
-        let m = multicast_cost(&net, "laptop", &receivers, 1_000_000).completion;
+        let m = multicast_deliver(&net, "laptop", &receivers, 1_000_000).cost.completion;
         let u = unicast_cost(&net, "laptop", &receivers, 1_000_000);
         assert!(u.as_secs() > m.as_secs() * 3.0, "unicast {u} vs multicast {m}");
     }
@@ -194,9 +216,36 @@ mod tests {
     }
 
     #[test]
+    fn resolved_fanout_charges_each_delivery_afresh() {
+        let net = Network::paper_testbed(1.0);
+        let hosts = [Some("desktop"), Some("zaurus"), Some("laptop"), None, Some("tower")];
+        let mut fanout = ResolvedFanout::new(&net, "laptop", hosts);
+        let mut d = MulticastDelivery::default();
+        fanout.deliver(&[0, 1, 2, 3, 4], 1000, &mut d);
+        assert_eq!(
+            d,
+            multicast_deliver(
+                &net,
+                "laptop",
+                &["desktop", "zaurus", "laptop", "ghost", "tower"],
+                1000
+            )
+        );
+        assert_eq!((d.cost.transmissions, d.cost.unicast_transmissions, d.cost.skipped), (2, 3, 1));
+        // A later delivery to a subset re-charges the segments it reaches,
+        // with arrivals indexed into its own receiver list.
+        fanout.deliver(&[4, 0], 50, &mut d);
+        assert_eq!((d.cost.transmissions, d.cost.unicast_transmissions, d.cost.skipped), (1, 2, 0));
+        let lan = net.transfer_time("laptop", "tower", 50);
+        assert_eq!(d.arrivals, vec![(0, lan), (1, lan)]);
+        assert_eq!(d.cost.completion, lan);
+        assert_eq!((d.wire_bytes, d.unicast_wire_bytes), (50, 100));
+    }
+
+    #[test]
     fn empty_receiver_list_is_free() {
         let net = Network::paper_testbed(1.0);
-        let cost = multicast_cost(&net, "laptop", &[], 1000);
+        let cost = multicast_deliver(&net, "laptop", &[], 1000).cost;
         assert_eq!(cost.transmissions, 0);
         assert_eq!(cost.completion, SimTime::ZERO);
         assert_eq!(cost.saving(), 0.0);

@@ -9,7 +9,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 ///
 /// `SimTime` is totally ordered (`NaN` is rejected at construction), so it
 /// can key the event queue directly.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimTime(f64);
 
