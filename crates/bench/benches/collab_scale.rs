@@ -193,9 +193,8 @@ fn time_ticks(clients: usize, moves: usize, ticks: usize) -> TickTiming {
     let hosts_per_segment = 4;
     let mut net = machine_room(segments, hosts_per_segment);
     net.add_host("hub", "seg0");
-    let mut config = RaveConfig::default();
     // One presence update would otherwise allocate `clients` trace rows.
-    config.update_delivery_trace = false;
+    let config = RaveConfig { update_delivery_trace: false, ..RaveConfig::default() };
     let mut sim = Simulation::new(RaveWorld::new(net, config, 4242));
     let ds = sim.world.spawn_data_service("hub", "bench");
 
@@ -222,8 +221,10 @@ fn time_ticks(clients: usize, moves: usize, ticks: usize) -> TickTiming {
             .iter()
             .enumerate()
             .map(|(i, &p)| {
-                let mut cam = CameraParams::default();
-                cam.position = Vec3::new(tick as f32, i as f32, 0.0);
+                let cam = CameraParams {
+                    position: Vec3::new(tick as f32, i as f32, 0.0),
+                    ..CameraParams::default()
+                };
                 (p, labels[i].as_str(), cam)
             })
             .collect();
@@ -249,8 +250,7 @@ fn time_ticks(clients: usize, moves: usize, ticks: usize) -> TickTiming {
 /// The paper's own testbed: ~24 clients on 6 LAN machines + the wireless
 /// PDA, camera traffic multicast from the data service on adrenochrome.
 fn testbed_wire_ratio() -> f64 {
-    let mut config = RaveConfig::default();
-    config.update_delivery_trace = false;
+    let config = RaveConfig { update_delivery_trace: false, ..RaveConfig::default() };
     let mut sim = Simulation::new(RaveWorld::paper_testbed(config, 7));
     let ds = sim.world.spawn_data_service("adrenochrome", "bench");
     let hosts = ["onyx", "v880z", "laptop", "desktop", "tower", "adrenochrome", "zaurus"];
@@ -273,8 +273,10 @@ fn testbed_wire_ratio() -> f64 {
             .iter()
             .enumerate()
             .map(|(i, &p)| {
-                let mut cam = CameraParams::default();
-                cam.position = Vec3::new(tick as f32, i as f32, 1.0);
+                let cam = CameraParams {
+                    position: Vec3::new(tick as f32, i as f32, 1.0),
+                    ..CameraParams::default()
+                };
                 (p, labels[i].as_str(), cam)
             })
             .collect();

@@ -113,7 +113,7 @@ fn bench_replan_per_event(c: &mut Criterion) {
         let mut scene = scene_with(2_000, 1_000);
         let root = scene.root();
         let mut state = PlanState::new();
-        plan_incremental(&mut scene, &caps, &mut state, 0.0).unwrap().unwrap();
+        plan_incremental(&mut scene, &caps, &mut state).unwrap().unwrap();
         let mut step = 0u64;
         b.iter(|| {
             step += 1;
@@ -121,7 +121,7 @@ fn bench_replan_per_event(c: &mut Criterion) {
                 .add_node(root, format!("e{step}"), NodeKind::Mesh(Arc::new(strip_mesh(64))))
                 .unwrap();
             let diff = std::hint::black_box(
-                plan_incremental(&mut scene, &caps, &mut state, 0.0).unwrap().unwrap(),
+                plan_incremental(&mut scene, &caps, &mut state).unwrap().unwrap(),
             );
             scene.remove(id).unwrap();
             diff

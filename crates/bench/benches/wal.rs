@@ -7,7 +7,7 @@
 use criterion::Criterion;
 use rave_scene::{AuditEntry, AuditTrail, NodeKind, SceneTree, SceneUpdate, StampedUpdate};
 use rave_store::wal::Wal;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 const UPDATES: u64 = 10_000;
@@ -53,7 +53,7 @@ fn session(n: u64) -> (SceneTree, Vec<AuditEntry>) {
     (tree, entries)
 }
 
-fn wal_write(dir: &PathBuf, entries: &[AuditEntry]) {
+fn wal_write(dir: &Path, entries: &[AuditEntry]) {
     let _ = std::fs::remove_dir_all(dir);
     std::fs::create_dir_all(dir).unwrap();
     let (mut wal, _) = Wal::open(dir, 8 << 20, false).unwrap();
@@ -63,18 +63,18 @@ fn wal_write(dir: &PathBuf, entries: &[AuditEntry]) {
     wal.sync().unwrap();
 }
 
-fn wal_replay(dir: &PathBuf) -> SceneTree {
+fn wal_replay(dir: &Path) -> SceneTree {
     let rec = rave_store::recover(dir).unwrap();
     assert_eq!(rec.last_seq, UPDATES);
     rec.tree
 }
 
-fn jsonl_write(path: &PathBuf, trail: &AuditTrail) {
+fn jsonl_write(path: &Path, trail: &AuditTrail) {
     let f = std::fs::File::create(path).unwrap();
     trail.save(std::io::BufWriter::new(f)).unwrap();
 }
 
-fn jsonl_replay(path: &PathBuf) -> SceneTree {
+fn jsonl_replay(path: &Path) -> SceneTree {
     let f = std::fs::File::open(path).unwrap();
     let trail = AuditTrail::load(std::io::BufReader::new(f)).unwrap();
     trail.replay_all().unwrap()
@@ -91,7 +91,7 @@ fn time_best<R>(n: usize, mut f: impl FnMut() -> R) -> f64 {
     best
 }
 
-fn dir_bytes(dir: &PathBuf) -> u64 {
+fn dir_bytes(dir: &Path) -> u64 {
     std::fs::read_dir(dir).unwrap().map(|d| d.unwrap().metadata().unwrap().len()).sum()
 }
 

@@ -1,7 +1,5 @@
 //! Tunable system parameters.
 
-use rave_sim::SimTime;
-
 /// How render services ship frames to thin clients and tile owners.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CompressionMode {
@@ -13,54 +11,25 @@ pub enum CompressionMode {
     Adaptive,
 }
 
-/// Global RAVE configuration: the thresholds and knobs §3.2.7 describes
-/// qualitatively, made explicit.
+/// Global RAVE configuration: the values some caller actually varies.
+/// The §3.2.7 thresholds and the other tuning values no caller changes
+/// are constants next to their one consumer (e.g.
+/// [`crate::sched::rebalance::OVERLOAD_FPS`]).
 #[derive(Debug, Clone)]
 pub struct RaveConfig {
-    /// A render service whose rolling frame rate drops below this reports
-    /// itself overloaded to the data service.
-    pub overload_fps: f64,
-    /// A render service sustaining more than this is a migration target
-    /// (has spare capacity).
-    pub underload_fps: f64,
-    /// How long under-load must persist before the data service reacts —
-    /// "for a given amount of time, to smooth out spikes of usage".
-    pub underload_debounce: SimTime,
-    /// Frames in the rolling fps window.
-    pub fps_window: usize,
     /// Target interactive rate used when interrogating capacity
     /// ("available polygons per second ... and still maintain its current
     /// interactive frame rate").
     pub target_fps: f64,
-    /// Headroom factor the planner leaves on each service (1.0 = fill to
-    /// capacity; 0.8 = leave 20%).
-    pub fill_factor: f64,
     /// Whether render services actually rasterize pixels (figure
     /// generation) or only charge the cost model (timing runs with
     /// multi-million-polygon scenes).
     pub produce_images: bool,
-    /// Introspection marshalling rates for scene bootstrap (§5.5): the
-    /// Java-reflection path, seconds per field visit and per byte.
-    pub introspect_per_field: f64,
-    pub introspect_per_byte: f64,
-    /// Direct marshalling per byte (the ablation comparator).
-    pub direct_per_byte: f64,
     /// Updates between durable snapshot checkpoints when a session store
     /// is attached (§3.1.1's "intermittently streamed to disk" cadence).
     pub checkpoint_every: u64,
     /// Frame transport for thin-client streams and helper tile returns.
     pub frame_compression: CompressionMode,
-    /// Re-probe (trial-encode all codecs) every N frames in adaptive
-    /// mode; between probes the selector estimates from EWMA ratios.
-    pub codec_reprobe_every: u64,
-    /// EWMA weight of the newest measured compression ratio, in (0, 1].
-    pub codec_ewma_alpha: f64,
-    /// Permit lossy (RGB565) codecs on thin-client frame streams. Tile
-    /// returns are always lossless regardless (they are stitched into a
-    /// composite that must match the monolithic render).
-    pub allow_lossy_frames: bool,
-    /// Target bytes per strip in the dirty-strip frame container.
-    pub frame_strip_bytes: usize,
     /// Maximum frames in flight (requested but not yet displayed) on a
     /// thin-client stream. Depth 1 is the paper's strictly serial cycle
     /// (request → render → transfer → display, one at a time) and
@@ -69,27 +38,6 @@ pub struct RaveConfig {
     /// the decode/import of frame N−1, hiding every latency except the
     /// bottleneck stage's.
     pub pipeline_depth: usize,
-    /// EWMA weight of the newest measured throughput observation in the
-    /// scheduler's [`crate::sched::ThroughputTracker`], in (0, 1].
-    pub sched_ewma_alpha: f64,
-    /// `CostDrift` trigger: a service whose measured throughput falls
-    /// below this fraction of its advertised rate gets re-planned before
-    /// the overload fps threshold ever trips.
-    pub sched_drift_ratio: f64,
-    /// Emit a `TraceKind::SchedDecision` record (candidates, scores,
-    /// choice) for every migration/failure placement decision.
-    pub sched_decision_trace: bool,
-    /// Bounded staleness for the incremental replanner: defer a replan
-    /// while the accumulated dirty render weight stays at or below this
-    /// fraction of the total planned weight (0.0 = replan on any dirt).
-    /// Deferred dirt coalesces; a forced full replay is the escape hatch.
-    pub sched_max_staleness: f64,
-    /// Cadence of the log-shipping replication driver: how often the
-    /// primary plans and sends WAL frames to its warm standby.
-    pub ship_interval: SimTime,
-    /// Maximum unacknowledged frames in flight per replica link; a tick
-    /// plans at most `ack_window − in_flight` new frames.
-    pub ship_ack_window: usize,
     /// Replication lag bound, in committed updates: the newest entries of
     /// the primary's *unsealed* segment may stay unshipped up to this
     /// count (0 = ship every entry immediately). Sealed segments always
@@ -111,34 +59,11 @@ pub struct RaveConfig {
 impl Default for RaveConfig {
     fn default() -> Self {
         Self {
-            overload_fps: 10.0,
-            underload_fps: 40.0,
-            underload_debounce: SimTime::from_secs(5.0),
-            fps_window: 10,
             target_fps: 15.0,
-            fill_factor: 0.85,
             produce_images: false,
-            // Calibrated against Table 5: a 20 MB model bootstraps in
-            // ≈68 s, of which ≈58 s is marshalling (the rest is instance
-            // creation + wire time) ⇒ ≈2.3 µs/byte through the
-            // introspective path.
-            introspect_per_field: 4.0e-6,
-            introspect_per_byte: 2.3e-6,
-            // Direct serialization: bulk memcpy-ish, ~50 ns/byte.
-            direct_per_byte: 50.0e-9,
             checkpoint_every: 256,
             frame_compression: CompressionMode::Raw,
-            codec_reprobe_every: 30,
-            codec_ewma_alpha: 0.3,
-            allow_lossy_frames: true,
-            frame_strip_bytes: 16 * 1024,
             pipeline_depth: 1,
-            sched_ewma_alpha: 0.3,
-            sched_drift_ratio: 0.5,
-            sched_decision_trace: true,
-            sched_max_staleness: 0.0,
-            ship_interval: SimTime::from_millis(250.0),
-            ship_ack_window: 4,
             ship_max_lag: 64,
             update_delivery_trace: true,
             frame_cache_budget: 0,
@@ -149,34 +74,32 @@ impl Default for RaveConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bootstrap::{DIRECT_PER_BYTE, INTROSPECT_PER_BYTE};
+    use crate::frame_stream::{CODEC_EWMA_ALPHA, FRAME_STRIP_BYTES};
+    use crate::render_service::FILL_FACTOR;
+    use crate::replica::{SHIP_ACK_WINDOW, SHIP_INTERVAL};
+    use crate::sched::rebalance::{DRIFT_RATIO, OVERLOAD_FPS, UNDERLOAD_FPS};
+    use rave_sim::SimTime;
 
     #[test]
-    fn default_thresholds_ordered() {
-        let c = RaveConfig::default();
-        assert!(c.overload_fps < c.underload_fps);
-        assert!(c.fill_factor > 0.0 && c.fill_factor <= 1.0);
-        assert!(c.introspect_per_byte > c.direct_per_byte * 10.0);
+    fn thresholds_ordered() {
+        const { assert!(OVERLOAD_FPS < UNDERLOAD_FPS) };
+        const { assert!(FILL_FACTOR > 0.0 && FILL_FACTOR <= 1.0) };
+        const { assert!(INTROSPECT_PER_BYTE > DIRECT_PER_BYTE * 10.0) };
     }
 
     #[test]
     fn default_frame_transport_is_the_paper_baseline() {
         let c = RaveConfig::default();
         assert_eq!(c.frame_compression, CompressionMode::Raw);
-        assert!(c.codec_ewma_alpha > 0.0 && c.codec_ewma_alpha <= 1.0);
-        assert!(c.frame_strip_bytes > 0);
+        const { assert!(CODEC_EWMA_ALPHA > 0.0 && CODEC_EWMA_ALPHA <= 1.0) };
+        const { assert!(FRAME_STRIP_BYTES > 0) };
         assert_eq!(c.pipeline_depth, 1, "serial frame cycle keeps Table-2 calibration");
     }
 
     #[test]
-    fn default_sched_knobs_sane() {
-        let c = RaveConfig::default();
-        assert!(c.sched_ewma_alpha > 0.0 && c.sched_ewma_alpha <= 1.0);
-        assert!(c.sched_drift_ratio > 0.0 && c.sched_drift_ratio < 1.0);
-        assert!(c.sched_decision_trace, "decision audit on by default");
-        assert!(
-            c.sched_max_staleness == 0.0,
-            "incremental replans are immediate unless opted into staleness"
-        );
+    fn drift_ratio_is_a_fraction() {
+        const { assert!(DRIFT_RATIO > 0.0 && DRIFT_RATIO < 1.0) };
     }
 
     #[test]
@@ -189,8 +112,8 @@ mod tests {
     #[test]
     fn default_ship_knobs_sane() {
         let c = RaveConfig::default();
-        assert!(c.ship_interval > SimTime::ZERO);
-        assert!(c.ship_ack_window >= 1, "at least one frame in flight");
+        assert!(SHIP_INTERVAL > SimTime::ZERO);
+        const { assert!(SHIP_ACK_WINDOW >= 1, "at least one frame in flight") };
         assert!(c.ship_max_lag < c.checkpoint_every, "lag bound inside a checkpoint window");
     }
 }

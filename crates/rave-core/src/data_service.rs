@@ -100,9 +100,7 @@ pub struct DataService {
     next_seq: u64,
     pub subscribers: BTreeMap<RenderServiceId, Subscription>,
     /// Optional durable sink: every committed update is appended to it,
-    /// with periodic snapshot checkpoints. Shared behind an `Arc` so
-    /// clones of the service (mirrors) observe one log, not two
-    /// half-written ones.
+    /// with periodic snapshot checkpoints.
     persistence: Option<Arc<Mutex<dyn Persistence>>>,
     /// Directory of the attached [`rave_store::Store`], if the sink is
     /// one: failover uses it to recover or log-ship the session without
@@ -227,8 +225,8 @@ impl DataService {
 
     /// Apply a stamped update to the master scene and the audit trail.
     /// Also advances the sequence counter past the committed number, so a
-    /// mirror that commits a primary's replicated log can take over
-    /// stamping seamlessly after failover.
+    /// warm standby that commits a primary's shipped log can take over
+    /// stamping seamlessly after promotion.
     pub fn commit(&mut self, at_secs: f64, stamped: &StampedUpdate) -> Result<(), UpdateError> {
         stamped.update.apply(&mut self.scene)?;
         self.audit.record(at_secs, stamped.clone())?;
@@ -250,7 +248,7 @@ impl DataService {
     }
 
     /// Make future stamps continue after `seq` (used when state arrives
-    /// out-of-band, e.g. a mirror replaying a whole audit trail).
+    /// out-of-band, e.g. a standby seeded from its durable log prefix).
     pub fn observe_seq(&mut self, seq: u64) {
         self.next_seq = self.next_seq.max(seq + 1);
     }

@@ -198,19 +198,12 @@ pub fn plan_distribution(
     // re-sort-after-every-placement ledger policy this planner has always
     // used; splitting calls back into the spatial [`split_node`].
     let mut ledger = Ledger::from_reports(candidates, true);
-    let outcome = place_with_splitting(
-        &mut ledger,
-        distributable_units(scene),
-        |id| {
-            let (a, b) = split_node(scene, id)?;
-            let ca = scene.node(a).expect("split child").own_cost();
-            let cb = scene.node(b).expect("split child").own_cost();
-            Some([(a, ca), (b, cb)])
-        },
-        // Bulk planning is latency-sensitive and discards the records;
-        // migration/failure paths record through the ledger directly.
-        false,
-    )
+    let outcome = place_with_splitting(&mut ledger, distributable_units(scene), |id| {
+        let (a, b) = split_node(scene, id)?;
+        let ca = scene.node(a).expect("split child").own_cost();
+        let cb = scene.node(b).expect("split child").own_cost();
+        Some([(a, ca), (b, cb)])
+    })
     .map_err(|e| match e {
         PlaceError::Indivisible { item, polygons, largest_headroom } => {
             PlanError::IndivisibleNode { node: item, polygons, largest_headroom }
@@ -244,16 +237,15 @@ fn eligible_cost(scene: &SceneTree, id: NodeId) -> Option<NodeCost> {
 /// into the plan as workload edits, the basis change (if any) is noted,
 /// and the engine replays from the first affected queue position —
 /// falling back to a full rebuild when the dirt log saturated or no plan
-/// exists yet. Returns `Ok(None)` when the bounded-staleness policy
-/// deferred the replan (the dirt stays accumulated), `Ok(Some(diff))`
-/// with the minimal migration set otherwise. The resulting assignment is
+/// exists yet. Returns `Ok(None)` when a plan exists and nothing is
+/// dirty (there is nothing to replay), `Ok(Some(diff))` with the minimal
+/// migration set otherwise. The resulting assignment is
 /// always identical to what [`plan_distribution`] would produce from
 /// scratch on the same scene and basis.
 pub fn plan_incremental(
     scene: &mut SceneTree,
     caps: &[(RenderServiceId, Headroom)],
     state: &mut PlanState,
-    max_staleness: f64,
 ) -> Result<Option<PlanDiff>, PlanError> {
     let mut rebuild = !state.is_planned();
     match scene.drain_cost_dirt() {
@@ -266,7 +258,7 @@ pub fn plan_incremental(
         }
     }
     state.note_caps(caps);
-    if !rebuild && !state.should_replan(max_staleness) {
+    if !rebuild && !state.is_dirty() {
         return Ok(None);
     }
 

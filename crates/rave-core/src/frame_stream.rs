@@ -23,6 +23,16 @@ use rave_compress::{stream, Codec};
 use rave_sim::SimTime;
 use std::collections::BTreeMap;
 
+/// Re-probe (trial-encode all codecs) every N frames in adaptive mode;
+/// between probes the selector estimates from EWMA ratios.
+pub const CODEC_REPROBE_EVERY: u64 = 30;
+
+/// EWMA weight of the newest measured compression ratio, in (0, 1].
+pub const CODEC_EWMA_ALPHA: f64 = 0.3;
+
+/// Target bytes per strip in the dirty-strip frame container.
+pub const FRAME_STRIP_BYTES: usize = 16 * 1024;
+
 /// Per-stream transport counters (the "per-client encoded-bytes/ratio
 /// stats" the adaptive selector reports on).
 #[derive(Debug, Clone, Copy, Default)]
@@ -61,9 +71,9 @@ pub struct FrameChannel {
 }
 
 impl FrameChannel {
-    pub fn new(alpha: f64, reprobe_every: u64) -> Self {
+    fn new() -> Self {
         Self {
-            selector: CodecSelector::new(alpha, reprobe_every),
+            selector: CodecSelector::new(CODEC_EWMA_ALPHA, CODEC_REPROBE_EVERY),
             last_raw: None,
             prev_view: None,
             last_codec: None,
@@ -221,14 +231,12 @@ pub fn send_frame_after(
     allow_lossy: bool,
 ) -> FrameSendOutcome {
     let link = world.network.link_between(from, to).clone();
-    let mut ch = world.frame_cache.take(rs, client).unwrap_or_else(|| {
-        FrameChannel::new(world.config.codec_ewma_alpha, world.config.codec_reprobe_every)
-    });
+    let mut ch = world.frame_cache.take(rs, client).unwrap_or_else(FrameChannel::new);
 
     let est =
         ch.selector.choose(cur, ch.prev_view.as_deref(), &link, sender, receiver, allow_lossy);
     let codec = est.codec;
-    let strips = stream::strip_count_for(cur.len(), world.config.frame_strip_bytes);
+    let strips = stream::strip_count_for(cur.len(), FRAME_STRIP_BYTES);
     let (payload, meta) = stream::encode_frame_with_meta(
         codec,
         cur,

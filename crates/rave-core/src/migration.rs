@@ -67,8 +67,8 @@ pub fn handle_data_service_failure(sim: &mut RaveSim, dead: DataServiceId) -> Mi
 /// fold the whole event batch into the data service's persistent plan —
 /// the replay touches only the affected queue slice and emits a minimal
 /// migration diff, instead of the per-event shedding heuristics of
-/// [`check_and_migrate`]. Honors the `sched_max_staleness` coalescing
-/// knob.
+/// [`check_and_migrate`]. A pass with nothing dirty is deferred: it
+/// replans and moves nothing.
 pub fn check_and_replan_incremental(sim: &mut RaveSim, ds_id: DataServiceId) -> IncrementalOutcome {
     let mut events = detect_overload(sim, ds_id);
     events.extend(detect_underload(sim, ds_id));
@@ -281,5 +281,26 @@ mod tests {
         let cfg = sim.world.config.clone();
         let fast_report = sim.world.render(fast).capacity_report(&cfg);
         assert!(fast_report.poly_headroom > 0 || fast_report.assigned.polygons > 0);
+    }
+
+    #[test]
+    fn adapters_on_a_failed_over_data_service_are_no_ops() {
+        let dir = std::env::temp_dir().join(format!("rave-retired-ds-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (mut sim, ds, slow, _) = overload_world();
+        sim.world.data_mut(ds).attach_store(&dir, rave_store::StoreConfig::default()).unwrap();
+        make_overloaded(&mut sim, slow);
+        let failover = handle_data_service_failure(&mut sim, ds);
+        let successor = failover.promotions.first().expect("store-backed primary recovers");
+        assert_ne!(successor.promoted, ds);
+        assert!(!sim.world.data_services.contains_key(&ds), "the old id is retired");
+
+        // Both adapters answer for the retired id with a no-op outcome.
+        assert_eq!(check_and_migrate(&mut sim, ds), MigrationOutcome::default());
+        let out = check_and_replan_incremental(&mut sim, ds);
+        assert_eq!(out.migration, MigrationOutcome::default());
+        assert!(out.diff.is_none());
+        assert!(!out.deferred);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -15,6 +15,10 @@ use rave_scene::{CameraParams, InterestSet, NodeCost, SceneTree};
 use rave_sim::{Occupancy, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 
+/// Headroom factor a capacity report leaves on the service (1.0 = fill
+/// to capacity; 0.85 = leave 15%).
+pub const FILL_FACTOR: f64 = 0.85;
+
 /// One client's rendering session on a render service.
 #[derive(Debug, Clone)]
 pub struct RenderSession {
@@ -208,7 +212,7 @@ impl RenderService {
             .max()
             .unwrap_or(160_000);
         let per_frame_budget = self.machine.poly_budget_at_fps(config.target_fps, pixels);
-        let fillable = (per_frame_budget as f64 * config.fill_factor) as u64;
+        let fillable = (per_frame_budget as f64 * FILL_FACTOR) as u64;
         CapacityReport {
             service: self.id,
             host: self.host.clone(),

@@ -30,6 +30,14 @@ use rave_store::{StoreConfig, Wal};
 use std::io;
 use std::path::{Path, PathBuf};
 
+/// Cadence of the log-shipping replication driver: how often the primary
+/// plans and sends WAL frames to its warm standby.
+pub const SHIP_INTERVAL: SimTime = SimTime::from_millis(250.0);
+
+/// Maximum unacknowledged frames in flight per replica link; a tick plans
+/// at most `SHIP_ACK_WINDOW − in_flight` new frames.
+pub const SHIP_ACK_WINDOW: usize = 4;
+
 /// One live replication link, owned by the world and keyed by primary.
 #[derive(Debug)]
 pub struct ReplicaLink {
@@ -141,9 +149,9 @@ pub fn establish_standby(
 /// on arrival (disk + in-memory replica), and charge the ack back.
 /// Returns the number of frames put in flight.
 pub fn ship_tick(sim: &mut RaveSim, primary: DataServiceId) -> io::Result<usize> {
-    let cfg = sim.world.config.clone();
+    let max_lag = sim.world.config.ship_max_lag;
     let Some(link) = sim.world.replicas.get(&primary) else { return Ok(0) };
-    let window = cfg.ship_ack_window.saturating_sub(link.in_flight);
+    let window = SHIP_ACK_WINDOW.saturating_sub(link.in_flight);
     if window == 0 {
         return Ok(0);
     }
@@ -153,7 +161,7 @@ pub fn ship_tick(sim: &mut RaveSim, primary: DataServiceId) -> io::Result<usize>
     // The primary must flush its WAL before frames leave the host: a
     // frame must never describe bytes the OS still holds in a buffer.
     sim.world.data_mut(primary).sync_persistence()?;
-    let frames = shipper.plan(shipped_seq, resend, cfg.ship_max_lag, window)?;
+    let frames = shipper.plan(shipped_seq, resend, max_lag, window)?;
     if frames.is_empty() {
         return Ok(0);
     }
@@ -230,7 +238,7 @@ pub fn ship_tick(sim: &mut RaveSim, primary: DataServiceId) -> io::Result<usize>
 }
 
 /// Periodic replication driver: run [`ship_tick`] every
-/// [`crate::RaveConfig::ship_interval`] until the horizon, stopping by
+/// [`SHIP_INTERVAL`] until the horizon, stopping by
 /// itself once the link (or the primary) is gone.
 pub fn run_log_shipping(sim: &mut RaveSim, primary: DataServiceId, horizon: SimTime) {
     fn tick(sim: &mut RaveSim, primary: DataServiceId, horizon: SimTime) {
@@ -248,12 +256,12 @@ pub fn run_log_shipping(sim: &mut RaveSim, primary: DataServiceId, horizon: SimT
             );
             return;
         }
-        let next = sim.now() + sim.world.config.ship_interval;
+        let next = sim.now() + SHIP_INTERVAL;
         if next <= horizon {
             sim.schedule_at(next, move |sim| tick(sim, primary, horizon));
         }
     }
-    let first = sim.now() + sim.world.config.ship_interval;
+    let first = sim.now() + SHIP_INTERVAL;
     sim.schedule_at(first, move |sim| tick(sim, primary, horizon));
 }
 

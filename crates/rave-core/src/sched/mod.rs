@@ -44,7 +44,7 @@ pub mod rebalance;
 pub mod workload;
 
 pub use feedback::ThroughputTracker;
-pub use incremental::{DirtySet, PlanDiff, PlanState};
+pub use incremental::{PlanDiff, PlanState};
 pub use placement::{DecisionRecord, Ledger, PlaceError, PlacementOutcome};
 pub use rebalance::{MigrationOutcome, SchedEvent};
 pub use workload::{CostVector, Workload};

@@ -9,13 +9,31 @@
 
 use crate::bootstrap::connect_render_service;
 use crate::ids::{DataServiceId, RenderServiceId};
-use crate::sched::placement::Ledger;
+use crate::render_service::FILL_FACTOR;
+use crate::sched::placement::{DecisionRecord, Ledger};
 use crate::trace::TraceKind;
 use crate::world::RaveSim;
 use rave_grid::TechnicalModel;
 use rave_scene::{InterestSet, NodeCost, NodeId};
 use rave_sim::SimTime;
 use std::collections::BTreeSet;
+
+/// A render service whose rolling frame rate drops below this reports
+/// itself overloaded to the data service (§3.2.7's "a given threshold").
+pub const OVERLOAD_FPS: f64 = 10.0;
+
+/// A render service sustaining more than this is a migration target
+/// (has spare capacity).
+pub const UNDERLOAD_FPS: f64 = 40.0;
+
+/// How long under-load must persist before the data service reacts —
+/// "for a given amount of time, to smooth out spikes of usage".
+pub const UNDERLOAD_DEBOUNCE: SimTime = SimTime::from_secs(5.0);
+
+/// `CostDrift` trigger: a service whose measured throughput falls below
+/// this fraction of its advertised rate gets re-planned before the
+/// overload fps threshold ever trips.
+pub const DRIFT_RATIO: f64 = 0.5;
 
 /// A rebalance trigger. Initial plans, migrations and failover re-plans
 /// all arrive at the scheduler as a stream of these.
@@ -90,11 +108,10 @@ pub fn select_nodes_to_shed(
 /// recording the §3.2.7 "informs the data server" trace for each.
 pub fn detect_overload(sim: &mut RaveSim, ds_id: DataServiceId) -> Vec<SchedEvent> {
     let now = sim.now();
-    let cfg = sim.world.config.clone();
     let mut events = Vec::new();
-    for rs in sim.world.data(ds_id).subscriber_ids() {
+    for rs in subscribers_of(sim, ds_id) {
         let fps = sim.world.render(rs).rolling_fps();
-        if fps.is_some_and(|f| f < cfg.overload_fps) {
+        if fps.is_some_and(|f| f < OVERLOAD_FPS) {
             events.push(SchedEvent::Overload { service: rs });
         }
     }
@@ -106,7 +123,7 @@ pub fn detect_overload(sim: &mut RaveSim, ds_id: DataServiceId) -> Vec<SchedEven
                 format!(
                     "{service} at {:.1} fps (threshold {})",
                     sim.world.render(*service).rolling_fps().unwrap_or(0.0),
-                    cfg.overload_fps
+                    OVERLOAD_FPS
                 ),
             );
         }
@@ -121,20 +138,19 @@ pub fn detect_overload(sim: &mut RaveSim, ds_id: DataServiceId) -> Vec<SchedEven
 /// `world.sched.underload_since`.
 pub fn detect_underload(sim: &mut RaveSim, ds_id: DataServiceId) -> Vec<SchedEvent> {
     let now = sim.now();
-    let cfg = sim.world.config.clone();
     let mut events = Vec::new();
-    for rs in sim.world.data(ds_id).subscriber_ids() {
+    for rs in subscribers_of(sim, ds_id) {
         let fps = sim.world.render(rs).rolling_fps();
         // No fps data counts as under-loaded only for an *empty* service
         // (a fresh recruit); a loaded service that simply has not rendered
         // lately is not a migration target.
         let under = match fps {
-            Some(f) => f > cfg.underload_fps,
+            Some(f) => f > UNDERLOAD_FPS,
             None => sim.world.render(rs).assigned_cost().is_zero(),
         };
         if under {
             let since = *sim.world.sched.underload_since.entry(rs).or_insert(now);
-            if now - since >= cfg.underload_debounce {
+            if now - since >= UNDERLOAD_DEBOUNCE {
                 events.push(SchedEvent::Underload { service: rs });
             }
         } else {
@@ -146,11 +162,11 @@ pub fn detect_underload(sim: &mut RaveSim, ds_id: DataServiceId) -> Vec<SchedEve
 
 /// Detect services whose measured throughput (from the world's
 /// scheduler-level [`super::ThroughputTracker`]) has drifted below
-/// `sched_drift_ratio × advertised`. The tracker's unit domain is
+/// `DRIFT_RATIO × advertised`. The tracker's unit domain is
 /// whatever the caller feeds it — comparisons only make sense against an
 /// `expected` in the same units, so the advertised `polys_per_sec` is
 /// used as the reference scale.
-/// Hysteresis: the EWMA jitters around `sched_drift_ratio × advertised`,
+/// Hysteresis: the EWMA jitters around `DRIFT_RATIO × advertised`,
 /// and a trigger-happy detector would storm the scheduler with
 /// `CostDrift` events (defeating the incremental replanner's coalescing).
 /// A drift observation therefore only *arms* the service on its first
@@ -160,9 +176,9 @@ pub fn detect_underload(sim: &mut RaveSim, ds_id: DataServiceId) -> Vec<SchedEve
 pub fn detect_cost_drift(sim: &mut RaveSim, ds_id: DataServiceId) -> Vec<SchedEvent> {
     let cfg = sim.world.config.clone();
     let mut events = Vec::new();
-    for rs in sim.world.data(ds_id).subscriber_ids() {
+    for rs in subscribers_of(sim, ds_id) {
         let expected = sim.world.render(rs).capacity_report(&cfg).polys_per_sec;
-        if sim.world.sched.throughput.drifted_below(rs, expected, cfg.sched_drift_ratio) {
+        if sim.world.sched.throughput.drifted_below(rs, expected, DRIFT_RATIO) {
             if !sim.world.sched.drift_pending.insert(rs) {
                 let measured = sim.world.sched.throughput.throughput(rs).unwrap_or(0.0);
                 events.push(SchedEvent::CostDrift { service: rs, measured, expected });
@@ -172,6 +188,12 @@ pub fn detect_cost_drift(sim: &mut RaveSim, ds_id: DataServiceId) -> Vec<SchedEv
         }
     }
     events
+}
+
+/// The render services subscribed to `ds_id`; none once that data
+/// service is gone (failed over, so its id is retired).
+fn subscribers_of(sim: &RaveSim, ds_id: DataServiceId) -> Vec<RenderServiceId> {
+    sim.world.data_services.get(&ds_id).map(|ds| ds.subscriber_ids()).unwrap_or_default()
 }
 
 /// Per-batch processing state: one ledger and one moved-set shared by
@@ -334,16 +356,47 @@ fn handle_data_failure(sim: &mut RaveSim, dead: DataServiceId, outcome: &mut Mig
     outcome.refused = true;
 }
 
-fn trace_decision(
-    sim: &mut RaveSim,
-    record: &crate::sched::placement::DecisionRecord,
-    event: &str,
-) {
-    if !sim.world.config.sched_decision_trace {
-        return;
-    }
+/// Put one placement decision on the `SchedDecision` trace stream.
+fn trace_decision(sim: &mut RaveSim, record: &DecisionRecord, event: &str) {
     let now = sim.now();
     sim.world.trace.record(now, TraceKind::SchedDecision, record.detail(event));
+}
+
+fn shard_subject(node: NodeId, cost: &NodeCost) -> String {
+    format!("shard {node} ({} polys)", cost.polygons)
+}
+
+/// First-fit `node` through `ledger`, tracing the considered candidates
+/// and the choice.
+fn fit_traced(
+    sim: &mut RaveSim,
+    ledger: &mut Ledger,
+    node: NodeId,
+    cost: &NodeCost,
+    event: &str,
+) -> Option<RenderServiceId> {
+    let (chosen, record) = ledger.fit_recorded(cost, shard_subject(node, cost));
+    trace_decision(sim, &record, event);
+    chosen
+}
+
+/// Trace a decision that offered `node` to one service only (a recruit,
+/// or the under-loaded service pulling work), scored at `score` polygons.
+fn trace_offer(
+    sim: &mut RaveSim,
+    event: &str,
+    node: NodeId,
+    cost: &NodeCost,
+    service: RenderServiceId,
+    score: u64,
+    placed: bool,
+) {
+    let record = DecisionRecord {
+        subject: shard_subject(node, cost),
+        chosen: placed.then_some(service),
+        candidates: vec![(service, score)],
+    };
+    trace_decision(sim, &record, event);
 }
 
 /// Shed work from an overloaded (or drifting) service onto connected
@@ -404,17 +457,7 @@ fn handle_overload(
     let mut unplaced: Vec<(NodeId, NodeCost)> = Vec::new();
     let mut placed: Vec<(NodeId, RenderServiceId, NodeCost)> = Vec::new();
     for (node, cost) in shed {
-        // Only pay for the candidate snapshot and subject string when the
-        // decision trace is actually on.
-        let chosen = if cfg.sched_decision_trace {
-            let (chosen, record) =
-                ledger.fit_recorded(&cost, format!("shard {node} ({} polys)", cost.polygons));
-            trace_decision(sim, &record, event);
-            chosen
-        } else {
-            ledger.fit(&cost)
-        };
-        match chosen {
+        match fit_traced(sim, ledger, node, &cost, event) {
             Some(to) => placed.push((node, to, cost)),
             None => unplaced.push((node, cost)),
         }
@@ -435,15 +478,9 @@ fn handle_overload(
                 let mut room = report.headroom();
                 let mut still_unplaced = Vec::new();
                 for (node, cost) in unplaced {
-                    if cfg.sched_decision_trace {
-                        let record = crate::sched::placement::DecisionRecord {
-                            subject: format!("shard {node} ({} polys)", cost.polygons),
-                            chosen: room.fits(&cost).then_some(new_rs),
-                            candidates: vec![(new_rs, room.polygons)],
-                        };
-                        trace_decision(sim, &record, event);
-                    }
-                    if room.fits(&cost) {
+                    let fits = room.fits(&cost);
+                    trace_offer(sim, event, node, &cost, new_rs, room.polygons, fits);
+                    if fits {
                         room.debit(&cost);
                         relocate(sim, ds_id, node, Some(over_rs), Some(new_rs), &cost);
                         batch.moved_nodes.insert(node);
@@ -522,14 +559,7 @@ fn handle_underload(
     candidates.sort_by_key(|(id, c)| (std::cmp::Reverse(c.render_weight()), *id));
     for (node, cost) in candidates {
         if cost.polygons <= room.polygons && donor != under_rs {
-            if cfg.sched_decision_trace {
-                let record = crate::sched::placement::DecisionRecord {
-                    subject: format!("shard {node} ({} polys)", cost.polygons),
-                    chosen: Some(under_rs),
-                    candidates: vec![(under_rs, room.polygons)],
-                };
-                trace_decision(sim, &record, "Underload");
-            }
+            trace_offer(sim, "Underload", node, &cost, under_rs, room.polygons, true);
             room.polygons -= cost.polygons;
             relocate(sim, ds_id, node, Some(donor), Some(under_rs), &cost);
             batch.moved_nodes.insert(node);
@@ -574,15 +604,7 @@ fn handle_failure(
             continue;
         }
         let cost = sim.world.data(ds_id).scene.subtree_cost(node);
-        let chosen = if cfg.sched_decision_trace {
-            let (chosen, record) =
-                ledger.fit_recorded(&cost, format!("shard {node} ({} polys)", cost.polygons));
-            trace_decision(sim, &record, "Failure");
-            chosen
-        } else {
-            ledger.fit(&cost)
-        };
-        match chosen {
+        match fit_traced(sim, &mut ledger, node, &cost, "Failure") {
             Some(to) => placed.push((node, to, cost)),
             None => unplaced.push((node, cost)),
         }
@@ -597,14 +619,7 @@ fn handle_failure(
             Some(new_rs) => {
                 outcome.recruited.push(new_rs);
                 for (node, cost) in unplaced {
-                    if cfg.sched_decision_trace {
-                        let record = crate::sched::placement::DecisionRecord {
-                            subject: format!("shard {node} ({} polys)", cost.polygons),
-                            chosen: Some(new_rs),
-                            candidates: vec![(new_rs, cost.polygons)],
-                        };
-                        trace_decision(sim, &record, "Failure");
-                    }
+                    trace_offer(sim, "Failure", node, &cost, new_rs, cost.polygons, true);
                     relocate(sim, ds_id, node, Some(dead), Some(new_rs), &cost);
                     batch.moved_nodes.insert(node);
                     outcome.moved.push((node, dead, new_rs));
@@ -740,8 +755,8 @@ pub struct IncrementalOutcome {
     /// The applied plan diff — `None` when the pass was deferred or
     /// refused.
     pub diff: Option<crate::sched::incremental::PlanDiff>,
-    /// True when the staleness policy coalesced this pass's dirt instead
-    /// of replanning.
+    /// True when the plan was already exact (nothing dirty), so the pass
+    /// replanned nothing.
     pub deferred: bool,
 }
 
@@ -786,12 +801,7 @@ pub fn incremental_replan(
     let mut state = sim.world.sched.plans.remove(&ds_id).unwrap_or_default();
     let result = {
         let ds = sim.world.data_services.get_mut(&ds_id).expect("checked above");
-        crate::distribution::plan_incremental(
-            &mut ds.scene,
-            &basis,
-            &mut state,
-            cfg.sched_max_staleness,
-        )
+        crate::distribution::plan_incremental(&mut ds.scene, &basis, &mut state)
     };
     sim.world.sched.plans.insert(ds_id, state);
     match result {
@@ -814,7 +824,7 @@ pub fn incremental_replan(
 }
 
 /// The incremental planner's capacity basis: *gross* per-service budgets
-/// (`poly_budget_at_fps × fill_factor`, total texture memory) rather
+/// (`poly_budget_at_fps × FILL_FACTOR`, total texture memory) rather
 /// than the interrogation report's remaining headroom — the replay
 /// decides the whole assignment itself, so already-assigned work must
 /// not be double-counted against capacity. Services whose measured
@@ -839,9 +849,9 @@ fn gross_basis(
                 .max()
                 .unwrap_or(160_000);
             let budget = rs.machine.poly_budget_at_fps(cfg.target_fps, pixels);
-            let mut fillable = (budget as f64 * cfg.fill_factor) as u64;
+            let mut fillable = (budget as f64 * FILL_FACTOR) as u64;
             let expected = rs.machine.poly_rate;
-            if sim.world.sched.throughput.drifted_below(rs_id, expected, cfg.sched_drift_ratio) {
+            if sim.world.sched.throughput.drifted_below(rs_id, expected, DRIFT_RATIO) {
                 let measured = sim.world.sched.throughput.throughput(rs_id).unwrap_or(0.0);
                 let scale = (measured / expected).clamp(0.0, 1.0);
                 fillable = (fillable as f64 * scale) as u64;
@@ -999,15 +1009,55 @@ mod tests {
         assert!(detail.contains("candidates:"), "{detail}");
     }
 
+    /// Every `SchedDecision` record's detail, asserting each starts with
+    /// `event:` and lists its candidates.
+    fn decision_details(sim: &RaveSim, event: &str) -> Vec<String> {
+        let details: Vec<String> = sim
+            .world
+            .trace
+            .events()
+            .iter()
+            .filter(|e| e.kind == TraceKind::SchedDecision)
+            .map(|e| e.detail.clone())
+            .collect();
+        for detail in &details {
+            assert!(detail.starts_with(&format!("{event}:")), "{detail}");
+            assert!(detail.contains("candidates:"), "{detail}");
+        }
+        details
+    }
+
     #[test]
-    fn decision_trace_can_be_silenced() {
-        let (mut sim, ds, slow, _) = overload_world();
-        sim.world.config.sched_decision_trace = false;
-        make_overloaded(&mut sim, slow);
-        let events = detect_overload(&mut sim, ds);
-        let outcome = process_events(&mut sim, ds, &events);
-        assert!(outcome.acted());
-        assert_eq!(sim.world.trace.count(TraceKind::SchedDecision), 0);
+    fn failure_and_its_recruit_trace_one_decision_each() {
+        let (mut sim, ds, slow, fast) = overload_world();
+        // Nothing fits the survivor, so every orphan goes to a recruit.
+        {
+            let rs = sim.world.render_mut(fast);
+            let root = rs.scene.root();
+            rs.scene.add_node(root, "filler", mesh(3_000_000)).unwrap();
+        }
+        let fresh = sim.world.spawn_render_service("tower");
+        let outcome = process_events(&mut sim, ds, &[SchedEvent::Failure { service: slow }]);
+        assert_eq!(outcome.recruited, vec![fresh]);
+        assert_eq!(outcome.moved.len(), 2, "both orphaned subtrees re-homed");
+        let details = decision_details(&sim, "Failure");
+        // One ledger decision per orphan (unplaced on the full survivor),
+        // then one recruit decision per orphan placed on `fresh`.
+        assert_eq!(details.len(), 2 * outcome.moved.len(), "{details:?}");
+        let (recruit, ledger): (Vec<_>, Vec<_>) =
+            details.iter().partition(|d| d.contains(&format!("-> {fresh} ")));
+        assert_eq!(recruit.len(), outcome.moved.len(), "{details:?}");
+        assert!(ledger.iter().all(|d| d.contains("-> unplaced")), "{ledger:?}");
+    }
+
+    #[test]
+    fn underload_traces_one_decision_per_pulled_node() {
+        let (mut sim, ds, _slow, fast) = overload_world();
+        let outcome = process_events(&mut sim, ds, &[SchedEvent::Underload { service: fast }]);
+        assert!(outcome.acted(), "the idle service pulls work");
+        let details = decision_details(&sim, "Underload");
+        assert_eq!(details.len(), outcome.moved.len(), "{details:?}");
+        assert!(details.iter().all(|d| d.contains(&format!("-> {fast} "))), "{details:?}");
     }
 
     #[test]

@@ -27,6 +27,9 @@ use rave_sim::{Histogram, Occupancy, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
 
+/// Frames in a render service's rolling fps window.
+pub const FPS_WINDOW: usize = 10;
+
 /// How the client converts received bytes into a displayable image —
 /// §5.1's J2ME-vs-C++ finding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -342,7 +345,6 @@ fn issue_frame(sim: &mut RaveSim, pipe: &Rc<RefCell<FramePipeline>>) {
                 } else {
                     frame_stream::synthesize_frame(vp.width, vp.height, index)
                 };
-                let allow_lossy = sim.world.config.allow_lossy_frames;
                 let encoder_free = sim.world.render(rs_id).encoder.busy_until();
                 let out = {
                     let p = pipe.borrow();
@@ -357,7 +359,9 @@ fn issue_frame(sim: &mut RaveSim, pipe: &Rc<RefCell<FramePipeline>>) {
                         &rgb,
                         EndpointSpeed::workstation(),
                         EndpointSpeed::pda(),
-                        allow_lossy,
+                        // Thin-client streams may use lossy (RGB565)
+                        // codecs; tile returns never do.
+                        true,
                     )
                 };
                 sim.world.render_mut(rs_id).encoder.acquire(out.encode_start, out.encode_secs);
@@ -410,13 +414,12 @@ fn issue_frame(sim: &mut RaveSim, pipe: &Rc<RefCell<FramePipeline>>) {
         }
     };
 
-    let window = sim.world.config.fps_window;
     let pipe = Rc::clone(pipe);
     sim.schedule_at(t_displayed, move |sim| {
         let now = sim.now();
         {
             let rs = sim.world.render_mut(rs_id);
-            rs.record_frame(now, window);
+            rs.record_frame(now, FPS_WINDOW);
         }
         {
             let c = sim.world.client_mut(client_id);

@@ -404,7 +404,7 @@ mod tests {
     fn narrow_viewport_keeps_strongest_helpers_only() {
         // 3 pixels wide, 5 participants: owner + 2 strongest helpers fit.
         let vp = Viewport::new(3, 64);
-        let helpers: Vec<_> = (2..=5).map(|i| report(RenderServiceId(i), i as u64 * 10)).collect();
+        let helpers: Vec<_> = (2..=5).map(|i| report(RenderServiceId(i), i * 10)).collect();
         let plan = plan_tiles(&vp, RenderServiceId(1), &helpers);
         assert_eq!(plan.tiles.len(), 3);
         assert_eq!(plan.tiles[0].1, RenderServiceId(1));

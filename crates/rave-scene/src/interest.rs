@@ -527,7 +527,7 @@ mod tests {
             camera: Default::default(),
         };
         let av = tree.add_node(tree.root(), "av", NodeKind::Avatar(info)).unwrap();
-        let sets = vec![InterestSet::subtrees([left]), InterestSet::subtrees([NodeId(999)])];
+        let sets = [InterestSet::subtrees([left]), InterestSet::subtrees([NodeId(999)])];
         let mut ix = InterestIndex::new();
         ix.rebuild(&tree, sets.iter());
         let u = SceneUpdate::CameraMoved { id: av, camera: Default::default() };

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use rave::scene::{AuditEntry, NodeKind, SceneTree, SceneUpdate, StampedUpdate};
 use rave::store::ship::{ShipAck, ShipFrame, Shipper, StandbyLog};
 use rave::store::wal::Wal;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn tmp_dir(tag: &str, case: u64) -> PathBuf {
     let dir =
@@ -20,7 +20,7 @@ fn tmp_dir(tag: &str, case: u64) -> PathBuf {
 /// Append `n` AddNode updates to a fresh WAL under `dir` with the given
 /// segment cap (small caps force rotation at arbitrary entry boundaries).
 /// Returns the committed trail for prefix comparison.
-fn build_primary(dir: &PathBuf, n: u64, seg_bytes: u64) -> Vec<AuditEntry> {
+fn build_primary(dir: &Path, n: u64, seg_bytes: u64) -> Vec<AuditEntry> {
     let mut tree = SceneTree::new();
     let (mut wal, _) = Wal::open(dir, seg_bytes, false).unwrap();
     let mut trail = Vec::new();
@@ -46,7 +46,7 @@ fn build_primary(dir: &PathBuf, n: u64, seg_bytes: u64) -> Vec<AuditEntry> {
 
 /// Assert the standby directory recovers to EXACTLY the primary trail's
 /// prefix of length `rec.last_seq` — never garbage, never a gap.
-fn assert_exact_prefix(sdir: &PathBuf, trail: &[AuditEntry]) -> u64 {
+fn assert_exact_prefix(sdir: &Path, trail: &[AuditEntry]) -> u64 {
     let rec = rave::store::recover(sdir).unwrap();
     assert!(rec.last_seq <= trail.len() as u64, "standby never ahead of the primary");
     assert_eq!(rec.entries.len() as u64, rec.last_seq, "contiguous from seq 1");

@@ -224,7 +224,7 @@ mod plan_state_storms {
     ) -> Vec<(RenderServiceId, Vec<NodeId>, NodeCost)> {
         let mut ledger = Ledger::from_caps(caps, true);
         let queue: Vec<(NodeId, NodeCost)> = units.iter().map(|(&id, &c)| (id, c)).collect();
-        place_with_splitting(&mut ledger, queue, |_| None, false)
+        place_with_splitting(&mut ledger, queue, |_| None)
             .expect("feasible by construction")
             .assignments
     }
@@ -260,7 +260,7 @@ mod plan_state_storms {
             state.full_rebuild(Vec::new(), &caps, |_| None).unwrap();
             let mut applied: BTreeMap<NodeId, RenderServiceId> = BTreeMap::new();
 
-            let mut replan = |state: &mut PlanState,
+            let replan = |state: &mut PlanState,
                               applied: &mut BTreeMap<NodeId, RenderServiceId>,
                               units: &BTreeMap<NodeId, NodeCost>,
                               caps: &Vec<(RenderServiceId, Headroom)>|

@@ -360,7 +360,7 @@ mod incremental_parity {
             let mut scene = scene_with_meshes(&sizes);
             let mut state = PlanState::new();
             let mut applied = BTreeMap::new();
-            let diff = plan_incremental(&mut scene, &basis(&caps), &mut state, 0.0)
+            let diff = plan_incremental(&mut scene, &basis(&caps), &mut state)
                 .unwrap()
                 .expect("the first plan is never deferred");
             apply_diff(&mut applied, &diff);
@@ -383,9 +383,9 @@ mod incremental_parity {
                         .unwrap();
                     live.push(id);
                 }
-                let diff = plan_incremental(&mut scene, &basis(&caps), &mut state, 0.0)
+                let diff = plan_incremental(&mut scene, &basis(&caps), &mut state)
                     .unwrap()
-                    .expect("max_staleness 0 replans on any dirt");
+                    .expect("a dirty plan replans");
                 apply_diff(&mut applied, &diff);
                 let want = cold_assignments(&scene, &caps);
                 assert_eq!(state.assignments(), want, "round {round} step {step}");
@@ -414,7 +414,7 @@ mod incremental_parity {
             let mut state = PlanState::new();
             let mut applied = BTreeMap::new();
             let mut splits = 0u32;
-            let diff = plan_incremental(&mut scene, &basis(&caps), &mut state, 0.0)
+            let diff = plan_incremental(&mut scene, &basis(&caps), &mut state)
                 .unwrap()
                 .expect("the first plan is never deferred");
             splits += diff.splits;
@@ -428,9 +428,9 @@ mod incremental_parity {
                     .add_node(root, format!("s{step}"), NodeKind::Mesh(Arc::new(strip_mesh(tris))))
                     .unwrap();
                 let _ = id;
-                let diff = plan_incremental(&mut scene, &basis(&caps), &mut state, 0.0)
+                let diff = plan_incremental(&mut scene, &basis(&caps), &mut state)
                     .unwrap()
-                    .expect("max_staleness 0 replans on any dirt");
+                    .expect("a dirty plan replans");
                 splits += diff.splits;
                 apply_diff(&mut applied, &diff);
                 let want = cold_assignments(&scene, &caps);
