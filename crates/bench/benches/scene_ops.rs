@@ -5,9 +5,10 @@
 //!
 //! - **traversal**: full pre-order walk touching only hot data (kind tag
 //!   + translation) — the planner/interest/render walk;
-//! - **costing**: an edit followed by subtree costs for every top-level
-//!   group plus the total — the planner's cost refresh (both trees
-//!   rebuild their invalidated cache inside the timed region);
+//! - **costing**: a cost-changing edit (a probe mesh toggled between two
+//!   triangle counts) followed by subtree costs for every top-level group
+//!   plus the total — the planner's cost refresh (both trees rebuild
+//!   their invalidated cache inside the timed region);
 //! - **lookup**: random id→node resolution — O(1) slot index vs B-tree
 //!   descent.
 //!
@@ -238,10 +239,21 @@ fn walk_legacy(t: &LegacyTree) -> (u64, f32) {
     (meshes, acc)
 }
 
-/// The planner's cost refresh: one edit (invalidating the cost cache),
-/// then subtree costs for every top-level group plus the total.
-fn cost_arena(t: &mut SceneTree, groups: &[NodeId], probe: NodeId) -> u64 {
-    t.node_mut(probe).unwrap().bump_version();
+/// The mesh `probe` is toggled to: the other of `toggle`'s two meshes
+/// (different triangle counts), so every edit changes the probe's cost.
+fn toggled<'a>(current: &NodeKind, toggle: &'a [NodeKind; 2]) -> &'a NodeKind {
+    &toggle[usize::from(current.cost() != toggle[1].cost())]
+}
+
+/// The planner's cost refresh: one cost-changing edit (invalidating the
+/// cost cache), then subtree costs for every top-level group plus the
+/// total.
+fn cost_arena(t: &mut SceneTree, groups: &[NodeId], probe: NodeId, toggle: &[NodeKind; 2]) -> u64 {
+    let mut node = t.node_mut(probe).unwrap();
+    let next = toggled(node.kind(), toggle).clone();
+    node.set_kind(next);
+    drop(node);
+    assert!(!t.cost_cache_is_warm(), "the timed edit must invalidate the cost cache");
     let mut polys = 0u64;
     for &g in groups {
         polys += t.subtree_cost(g).polygons;
@@ -249,8 +261,14 @@ fn cost_arena(t: &mut SceneTree, groups: &[NodeId], probe: NodeId) -> u64 {
     polys + t.total_cost().polygons
 }
 
-fn cost_legacy(t: &mut LegacyTree, groups: &[NodeId], probe: NodeId) -> u64 {
-    t.node_mut(probe).unwrap().version += 1;
+fn cost_legacy(
+    t: &mut LegacyTree,
+    groups: &[NodeId],
+    probe: NodeId,
+    toggle: &[NodeKind; 2],
+) -> u64 {
+    let node = t.node_mut(probe).unwrap();
+    node.kind = toggled(&node.kind, toggle).clone();
     let mut polys = 0u64;
     for &g in groups {
         polys += t.subtree_cost(g).polygons;
@@ -318,17 +336,21 @@ fn main() {
         // Both storages must agree on every measured result before any
         // timing is trusted.
         assert_eq!(walk_arena(&arena).0, walk_legacy(&legacy).0);
-        let probe = groups_a[0];
+        // The first leaf under the first group is a mesh; both trees
+        // toggle it in lockstep.
+        let probe = arena.node(groups_a[0]).unwrap().children().next().unwrap();
+        assert_eq!(arena.node(probe).unwrap().kind_tag(), KindTag::Mesh);
+        let toggle = [7, 11].map(|tris| NodeKind::Mesh(Arc::new(small_mesh(tris))));
         assert_eq!(
-            cost_arena(&mut arena, &groups_a, probe),
-            cost_legacy(&mut legacy, &groups_l, probe)
+            cost_arena(&mut arena, &groups_a, probe, &toggle),
+            cost_legacy(&mut legacy, &groups_l, probe, &toggle)
         );
         assert_eq!(lookup_arena(&arena, nodes), lookup_legacy(&legacy, nodes));
 
         let traversal_new = best_of(rounds, || walk_arena(&arena));
         let traversal_old = best_of(rounds, || walk_legacy(&legacy));
-        let costing_new = best_of(rounds, || cost_arena(&mut arena, &groups_a, probe));
-        let costing_old = best_of(rounds, || cost_legacy(&mut legacy, &groups_l, probe));
+        let costing_new = best_of(rounds, || cost_arena(&mut arena, &groups_a, probe, &toggle));
+        let costing_old = best_of(rounds, || cost_legacy(&mut legacy, &groups_l, probe, &toggle));
         let lookup_new = best_of(rounds, || lookup_arena(&arena, nodes));
         let lookup_old = best_of(rounds, || lookup_legacy(&legacy, nodes));
 

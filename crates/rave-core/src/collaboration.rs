@@ -161,7 +161,7 @@ mod tests {
     use super::*;
     use crate::world::RaveWorld;
     use crate::RaveConfig;
-    use rave_scene::{InterestSet, MeshData};
+    use rave_scene::{InterestSet, MeshData, NodeCost};
     use rave_sim::Simulation;
     use std::sync::Arc;
 
@@ -315,6 +315,38 @@ mod tests {
         assert_eq!(ticks.len(), 2, "one trace per update for the one subscriber");
         assert_eq!(ticks[0].at, ticks[1].at, "batch applies at a single instant");
         assert!(ticks.iter().all(|e| e.detail.contains("applied=true")));
+    }
+
+    /// A tick of camera moves changes no node's cost, so every
+    /// subscriber's replica keeps its subtree-cost cache warm: the
+    /// scheduler's per-tick under-load pass reads `assigned_cost()` on
+    /// each of them.
+    #[test]
+    fn camera_move_ticks_keep_replica_cost_caches_warm() {
+        let (mut sim, ds, rs) = collaborative_world();
+        let rs2 = sim.world.spawn_render_service("laptop");
+        sim.world.data_mut(ds).subscribe_live(rs2, InterestSet::everything());
+        let replica = sim.world.data(ds).scene.clone();
+        sim.world.render_mut(rs2).scene = replica;
+        let cam = CameraParams::look_at(Vec3::new(0.0, 0.0, 5.0), Vec3::ZERO, Vec3::Y);
+        let a = join_session(&mut sim, ds, "laptop", Vec3::X, cam).unwrap();
+        let b = join_session(&mut sim, ds, "Desktop", Vec3::Y, cam).unwrap();
+        sim.run();
+        let before: Vec<NodeCost> =
+            [rs, rs2].iter().map(|&r| sim.world.render(r).assigned_cost()).collect();
+        let mut cam_a = cam;
+        cam_a.orbit(Vec3::ZERO, 0.4, 0.0);
+        let mut cam_b = cam;
+        cam_b.orbit(Vec3::ZERO, -0.4, 0.1);
+        session_tick(&mut sim, ds, &[(a, "laptop", cam_a), (b, "Desktop", cam_b)]).unwrap();
+        sim.run();
+        for (r, cost) in [rs, rs2].into_iter().zip(before) {
+            let scene = &sim.world.render(r).scene;
+            assert_eq!(scene.node(a.avatar).unwrap().transform().translation, cam_a.position);
+            assert!(scene.cost_cache_is_warm(), "{r}: camera moves must keep the cache warm");
+            assert_eq!(scene.total_cost(), cost);
+            assert_eq!(scene.total_cost(), scene.clone().total_cost(), "{r}: matches a rebuild");
+        }
     }
 
     #[test]

@@ -164,8 +164,9 @@ pub fn detect_underload(sim: &mut RaveSim, ds_id: DataServiceId) -> Vec<SchedEve
 /// scheduler-level [`super::ThroughputTracker`]) has drifted below
 /// `DRIFT_RATIO × advertised`. The tracker's unit domain is
 /// whatever the caller feeds it — comparisons only make sense against an
-/// `expected` in the same units, so the advertised `polys_per_sec` is
-/// used as the reference scale.
+/// `expected` in the same units, so the machine's advertised
+/// `poly_rate` (the capacity report's `polys_per_sec`) is used as the
+/// reference scale.
 /// Hysteresis: the EWMA jitters around `DRIFT_RATIO × advertised`,
 /// and a trigger-happy detector would storm the scheduler with
 /// `CostDrift` events (defeating the incremental replanner's coalescing).
@@ -174,10 +175,9 @@ pub fn detect_underload(sim: &mut RaveSim, ds_id: DataServiceId) -> Vec<SchedEve
 /// drift persists into a second consecutive pass, and any recovered pass
 /// disarms it.
 pub fn detect_cost_drift(sim: &mut RaveSim, ds_id: DataServiceId) -> Vec<SchedEvent> {
-    let cfg = sim.world.config.clone();
     let mut events = Vec::new();
     for rs in subscribers_of(sim, ds_id) {
-        let expected = sim.world.render(rs).capacity_report(&cfg).polys_per_sec;
+        let expected = sim.world.render(rs).machine.poly_rate;
         if sim.world.sched.throughput.drifted_below(rs, expected, DRIFT_RATIO) {
             if !sim.world.sched.drift_pending.insert(rs) {
                 let measured = sim.world.sched.throughput.throughput(rs).unwrap_or(0.0);
@@ -776,7 +776,7 @@ pub fn incremental_replan(
     ds_id: DataServiceId,
     events: &[SchedEvent],
 ) -> IncrementalOutcome {
-    let cfg = sim.world.config.clone();
+    let target_fps = sim.world.config.target_fps;
     let mut out = IncrementalOutcome::default();
 
     // Teardown-type events first: they change the basis the replay packs
@@ -797,7 +797,7 @@ pub fn incremental_replan(
         return out;
     }
 
-    let basis = gross_basis(sim, ds_id, &cfg);
+    let basis = gross_basis(sim, ds_id, target_fps);
     let mut state = sim.world.sched.plans.remove(&ds_id).unwrap_or_default();
     let result = {
         let ds = sim.world.data_services.get_mut(&ds_id).expect("checked above");
@@ -834,7 +834,7 @@ pub fn incremental_replan(
 fn gross_basis(
     sim: &RaveSim,
     ds_id: DataServiceId,
-    cfg: &crate::RaveConfig,
+    target_fps: f64,
 ) -> Vec<(RenderServiceId, crate::capacity::Headroom)> {
     sim.world
         .data(ds_id)
@@ -848,7 +848,7 @@ fn gross_basis(
                 .map(|s| s.viewport.pixel_count() as u64)
                 .max()
                 .unwrap_or(160_000);
-            let budget = rs.machine.poly_budget_at_fps(cfg.target_fps, pixels);
+            let budget = rs.machine.poly_budget_at_fps(target_fps, pixels);
             let mut fillable = (budget as f64 * FILL_FACTOR) as u64;
             let expected = rs.machine.poly_rate;
             if sim.world.sched.throughput.drifted_below(rs_id, expected, DRIFT_RATIO) {

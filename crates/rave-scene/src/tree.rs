@@ -554,13 +554,13 @@ impl SceneTree {
         self.slot(id).map(|slot| NodeRef { tree: self, slot })
     }
 
-    /// Mutable access to one node's editable state. Conservatively
-    /// invalidates the cost cache (the caller may rewrite the node's
-    /// kind, e.g. `split_node` demoting a mesh to a Group); the
-    /// structure cache survives.
+    /// Mutable access to one node's editable state. The structure cache
+    /// survives; the cost cache is invalidated when the view drops, and
+    /// only if a kind rewrite changed the node's own [`NodeCost`] (e.g.
+    /// `split_node` demoting a mesh to a Group). Pose, name and version
+    /// edits and equal-cost kind rewrites leave it warm.
     pub fn node_mut(&mut self, id: NodeId) -> Option<NodeMut<'_>> {
         let slot = self.slot(id)?;
-        self.invalidate_costs();
         self.dirt.note(id);
         Some(NodeMut { tree: self, slot, kind_touched: false })
     }
@@ -848,7 +848,7 @@ impl SceneTree {
 
     /// Total cost of the whole scene.
     pub fn total_cost(&self) -> NodeCost {
-        self.subtree_cost(self.root)
+        self.cost_cache()[self.root_slot as usize]
     }
 
     /// Slash-separated path from the root, e.g. `/galleon/hull`.
@@ -1307,7 +1307,7 @@ impl ExactSizeIterator for Children<'_> {}
 /// Mutable view of one live node's editable state (name, kind, version,
 /// transform). Created by [`SceneTree::node_mut`]; if the kind is
 /// touched, the hot mirrors (tag, own cost) are refreshed when the view
-/// drops.
+/// drops, and the cost cache is invalidated if the own cost changed.
 pub struct NodeMut<'a> {
     tree: &'a mut SceneTree,
     slot: u32,
@@ -1378,7 +1378,10 @@ impl Drop for NodeMut<'_> {
             let (tag, cost) = (kind.tag(), kind.cost());
             let h = &mut self.tree.hot[self.slot as usize];
             h.tag = tag;
-            h.cost = cost;
+            if h.cost != cost {
+                h.cost = cost;
+                self.tree.invalidate_costs();
+            }
         }
     }
 }
@@ -1729,6 +1732,68 @@ mod tests {
         assert!(!t.structure_cache_is_warm(), "structural edits invalidate structure");
         assert!(!t.cost_cache_is_warm());
         assert_eq!(t.total_cost().polygons, 1);
+    }
+
+    /// The cost cache follows what costs depend on: applied edits that
+    /// leave every node's own cost unchanged (avatar poses and metadata,
+    /// names, equal-cost kind rewrites) keep it warm, with answers equal
+    /// to a cold rebuild's; a cost-changing kind rewrite invalidates.
+    #[test]
+    fn cost_neutral_edits_keep_the_cost_cache_warm() {
+        use crate::camera::CameraParams;
+        use crate::node::AvatarInfo;
+        use crate::update::SceneUpdate;
+
+        let mut t = SceneTree::new();
+        let g = t.add_node(t.root(), "g", NodeKind::Group).unwrap();
+        let m = t.add_node(g, "m", tri_mesh()).unwrap();
+        let avatar =
+            AvatarInfo { label: "Desktop".into(), color: Vec3::X, camera: CameraParams::default() };
+        let av = t.add_node(t.root(), "avatar", NodeKind::Avatar(avatar.clone())).unwrap();
+        let matches_cold_rebuild = |t: &SceneTree| {
+            let cold = t.clone();
+            assert!(!cold.cost_cache_is_warm());
+            assert_eq!(t.total_cost(), cold.total_cost());
+            for id in [t.root(), g, m, av] {
+                assert_eq!(t.subtree_cost(id), cold.subtree_cost(id), "node {id}");
+            }
+        };
+
+        // Same triangle count and payload size as `tri_mesh`, different
+        // vertices: an equal-cost rewrite.
+        let same_cost = NodeKind::Mesh(Arc::new(MeshData::new(
+            vec![Vec3::X, Vec3::Y, Vec3::Z],
+            vec![[0, 1, 2]],
+        )));
+        assert_eq!(same_cost.cost(), tri_mesh().cost());
+        let pose = CameraParams::look_at(Vec3::new(3.0, 1.0, 2.0), Vec3::ZERO, Vec3::Y);
+        let neutral = [
+            SceneUpdate::CameraMoved { id: av, camera: pose },
+            SceneUpdate::AvatarUpdated {
+                id: av,
+                avatar: AvatarInfo { label: "Laptop".into(), ..avatar },
+            },
+            SceneUpdate::SetName { id: m, name: "hull".into() },
+            SceneUpdate::ReplaceKind { id: m, kind: same_cost },
+        ];
+        assert_eq!(t.total_cost().polygons, 9); // warm the cost cache
+        for edit in &neutral {
+            edit.apply(&mut t).unwrap();
+            assert!(t.cost_cache_is_warm(), "{edit:?} must leave the cost cache warm");
+            matches_cold_rebuild(&t);
+        }
+
+        // A different triangle count changes the node's own cost.
+        let two_tris = NodeKind::Mesh(Arc::new(MeshData::new(
+            vec![Vec3::ZERO, Vec3::X, Vec3::Y, Vec3::Z],
+            vec![[0, 1, 2], [0, 2, 3]],
+        )));
+        SceneUpdate::ReplaceKind { id: m, kind: two_tris }.apply(&mut t).unwrap();
+        assert!(!t.cost_cache_is_warm(), "a cost-changing rewrite must invalidate");
+        assert!(t.structure_cache_is_warm(), "kind edits keep the structure cache");
+        matches_cold_rebuild(&t);
+        assert_eq!(t.total_cost().polygons, 10);
+        assert_eq!(t.subtree_cost(g).polygons, 2);
     }
 
     #[test]

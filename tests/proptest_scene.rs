@@ -4,8 +4,8 @@
 use proptest::prelude::*;
 use rave::math::{Quat, Vec3};
 use rave::scene::{
-    AuditTrail, MeshData, NodeCost, NodeId, NodeKind, SceneTree, SceneUpdate, StampedUpdate,
-    Transform,
+    AuditTrail, AvatarInfo, CameraParams, MeshData, NodeCost, NodeId, NodeKind, SceneTree,
+    SceneUpdate, StampedUpdate, Transform,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -207,10 +207,13 @@ proptest! {
 // links corrupted by unlink/relink surgery, and cached preorder/cost state
 // surviving an edit it shouldn't. This harness drives the arena and a
 // deliberately naive map-based model through the same random
-// insert/remove/reparent/extract/merge sequence and requires them to agree
-// on ids, iteration order, and subtree costs after every step. The model
-// has no arena, no caches and no slot reuse, so any disagreement indicts
-// the arena.
+// insert/remove/reparent/extract/merge/kind-rewrite sequence and requires
+// them to agree on ids, iteration order, and subtree costs after every
+// step. Costs are queried after every step, so each edit lands on a warm
+// cost cache: a kind rewrite that changes a node's own cost must
+// invalidate it, and a cost-neutral one may keep it. The model has no
+// arena, no caches and no slot reuse, so any disagreement indicts the
+// arena.
 
 /// Abstract structural op; picks are reduced modulo the live population at
 /// materialization time so every op is valid-by-construction.
@@ -220,7 +223,15 @@ enum ModelOp {
     Remove { pick: usize },
     Reparent { pick: usize, parent_pick: usize },
     ExtractMerge { pick: usize },
+    SetKind { pick: usize, tris: usize },
 }
+
+/// `ModelOp::SetKind` rewrites a node's kind through `SceneUpdate::apply`:
+/// `tris` below `SAME_COST` picks Group (0) or a `tris`-triangle mesh,
+/// `SAME_COST` an equal-cost rewrite of the current kind, and `AVATAR` an
+/// avatar (a pose update when the node already is one).
+const SAME_COST: usize = 20;
+const AVATAR: usize = 21;
 
 fn model_op_strategy() -> impl Strategy<Value = ModelOp> {
     // The vendored proptest has no weighted arms; inserts are listed
@@ -236,6 +247,8 @@ fn model_op_strategy() -> impl Strategy<Value = ModelOp> {
         (any::<usize>(), any::<usize>())
             .prop_map(|(pick, parent_pick)| ModelOp::Reparent { pick, parent_pick }),
         any::<usize>().prop_map(|pick| ModelOp::ExtractMerge { pick }),
+        (any::<usize>(), 0usize..AVATAR + 1)
+            .prop_map(|(pick, tris)| ModelOp::SetKind { pick, tris }),
     ]
 }
 
@@ -343,6 +356,32 @@ fn mesh_kind(tris: usize) -> NodeKind {
     NodeKind::Mesh(Arc::new(mesh))
 }
 
+/// The update `ModelOp::SetKind` sends to `id`, whose kind is `current`.
+fn set_kind_update(id: NodeId, current: &NodeKind, tris: usize) -> SceneUpdate {
+    let kind = match (tris, current) {
+        (AVATAR, NodeKind::Avatar(_)) => {
+            let eye = Vec3::new(1.0, 2.0, id.0 as f32);
+            let camera = CameraParams::look_at(eye, Vec3::ZERO, Vec3::Y);
+            return SceneUpdate::CameraMoved { id, camera };
+        }
+        (AVATAR, _) => NodeKind::Avatar(AvatarInfo {
+            label: format!("user{id}"),
+            color: Vec3::Y,
+            camera: CameraParams::default(),
+        }),
+        // Same counts, different vertices: equal cost, new content.
+        (SAME_COST, NodeKind::Mesh(m)) => {
+            let mut moved = MeshData::clone(m);
+            moved.positions.iter_mut().for_each(|p| *p += Vec3::Z);
+            NodeKind::Mesh(Arc::new(moved))
+        }
+        (SAME_COST, other) => other.clone(),
+        (0, _) => NodeKind::Group,
+        (tris, _) => mesh_kind(tris),
+    };
+    SceneUpdate::ReplaceKind { id, kind }
+}
+
 fn run_model_comparison(ops: &[ModelOp]) -> Result<(), TestCaseError> {
     let mut tree = SceneTree::new();
     let mut model = Model::new(tree.root());
@@ -393,6 +432,16 @@ fn run_model_comparison(ops: &[ModelOp]) -> Result<(), TestCaseError> {
                 merged.check_invariants().map_err(|msg| TestCaseError { msg })?;
                 prop_assert_eq!(merged.len(), subset.len());
                 prop_assert_eq!(merged.total_cost(), subset.total_cost());
+            }
+            ModelOp::SetKind { pick, tris } => {
+                let id = live[pick % live.len()];
+                let current = tree.node(id).unwrap().kind().clone();
+                let update = set_kind_update(id, &current, *tris);
+                // A pose update leaves the model's own cost as it is.
+                if let SceneUpdate::ReplaceKind { kind, .. } = &update {
+                    model.nodes.get_mut(&id).unwrap().2 = kind.cost();
+                }
+                update.apply(&mut tree).unwrap();
             }
         }
 
